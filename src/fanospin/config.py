@@ -163,6 +163,8 @@ def from_dict(d: dict) -> DeviceConfig:
                            coupled=bool(m.get("coupled", False)))
                       for m in d["modes"])
         q_raw = d.get("q", [0.0, 0.0])
+        if isinstance(q_raw, (list, tuple)) and len(q_raw) != 2:
+            raise ConfigError([f"q: expected [re, im], got {q_raw!r}"])
         q = complex(q_raw[0], q_raw[1]) if isinstance(
             q_raw, (list, tuple)) else complex(q_raw)
         cfg = DeviceConfig(
@@ -182,7 +184,7 @@ def from_dict(d: dict) -> DeviceConfig:
             dot_spin=Spin(d.get("dot_spin", "Up")),
             wire_spin=Spin(d.get("wire_spin", "Up")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError([f"config: {exc!r}"]) from exc
@@ -210,7 +212,10 @@ def apply_overrides(config: DeviceConfig,
         if "=" not in item:
             raise ConfigError([f"override '{item}': expected key=value"])
         key, _, raw = item.partition("=")
-        _set_path(d, key.strip(), raw.strip())
+        try:
+            _set_path(d, key.strip(), raw.strip())
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError([f"override '{item}': {exc}"]) from exc
     return from_dict(d)
 
 

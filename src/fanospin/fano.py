@@ -6,24 +6,24 @@ The dot-coupled channel carries a Fano dip T = |eps + q*Gamma|^2 /
 polarization only the S=1 component of the incoming two-spin state (weight
 1/2) can scatter off the resonance, so the reflection is half the parallel
 one at every energy.
+
+The dip area over a sharp window is the closed form ``dip_integral``,
+shared by the mean reflection and the T = 0 current deficit.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.integrate import quad
-
 from .config import DeviceConfig, Mode, Spin
 from .dot_spectrum import ResonanceSpec
 
-MEAN_REFLECTION_ABS_TOL = 1e-9
-
 
 class UnphysicalTransmissionWarning(UserWarning):
-    """Complex q pushed the Fano transmission above 1."""
+    """A q outside Re q = 0, |q| <= 1 pushed the Fano transmission above 1."""
 
 
 class SpinOrientation(Enum):
@@ -66,16 +66,18 @@ def from_config(config: DeviceConfig, resonance: ResonanceSpec,
 def fano_transmission(detuning: float, Gamma: float, q: complex) -> float:
     """T = |eps + q Gamma|^2 / (eps^2 + Gamma^2).
 
-    For real q the value is bounded by max(1, q^2); a complex q can exceed 1,
-    which is physically meaningless for a two-terminal wire and triggers an
-    UnphysicalTransmissionWarning.
+    Its supremum over eps is the largest eigenvalue of [[1, Re q],
+    [Re q, |q|^2]], so T <= 1 only for Re q = 0 and |q| <= 1.  Any other q
+    (any real q != 0 too) exceeds 1 somewhere, which is unphysical for a
+    two-terminal wire and triggers an UnphysicalTransmissionWarning.
     """
     if not Gamma > 0:
         raise ValueError(f"Gamma must be > 0, got {Gamma}")
     t = abs(detuning + q * Gamma) ** 2 / (detuning**2 + Gamma**2)
     if t > 1.0:
         warnings.warn(
-            f"Fano transmission {t:.6g} > 1 for complex q = {q}",
+            f"Fano transmission {t:.6g} > 1 for q = {q} "
+            f"(T <= 1 needs Re q = 0 and |q| <= 1)",
             UnphysicalTransmissionWarning, stacklevel=2)
     return t
 
@@ -105,22 +107,31 @@ def total_transmission(E: float, model: TransmissionModel) -> float:
     return sum(mode_transmission(E, model, i) for i in range(len(model.modes)))
 
 
-def _resonance_panels(model: TransmissionModel, lo: float, hi: float):
-    res = model.resonance
-    pts = [res.energy + s * k * res.Gamma
-           for k in (0.0, 1.0, 3.0, 10.0) for s in (-1.0, 1.0)]
-    return sorted({p for p in pts if lo < p < hi})
+def dip_integral(resonance: ResonanceSpec, lo: float, hi: float) -> float:
+    """integral_lo^hi (1 - T_fano(E - E_res)) dE in meV, closed form.
+
+    Antiderivative Gamma (1 - |q|^2) atan(eps/Gamma) - Re(q) Gamma
+    ln(eps^2 + Gamma^2), eps = E - E_res.  The arctan difference is the
+    argument of (Gamma + i eps_hi)(Gamma - i eps_lo); the log difference
+    goes through log1p when the endpoints are near-equidistant from E_res.
+    """
+    G, q = resonance.Gamma, resonance.q
+    if not G > 0:
+        raise ValueError(f"Gamma must be > 0, got {G}")
+    a, b = lo - resonance.energy, hi - resonance.energy
+    area = G * (1.0 - abs(q) ** 2) * math.atan2(G * (hi - lo), G * G + a * b)
+    if q.real:
+        ra, rb = math.hypot(a, G), math.hypot(b, G)
+        d = (hi - lo) / ra * ((a + b) / ra)  # (rb/ra)^2 - 1
+        dlog = math.log1p(d) if abs(d) < 0.5 else 2.0 * math.log(rb / ra)
+        area -= q.real * G * dlog
+    return area
 
 
 def mean_reflection(model: TransmissionModel,
                     window: tuple[float, float]) -> float:
-    """Average of the coupled-channel reflection over an energy window,
-    by adaptive quadrature with panels split around the resonance."""
+    """Average of the coupled-channel reflection over an energy window."""
     lo, hi = window
     if not (lo < hi) or not (abs(lo) < float("inf") and abs(hi) < float("inf")):
         raise ValueError(f"window must be finite with E_lo < E_hi: {window}")
-    val, err = quad(lambda E: spin_channel_reflection(E, model), lo, hi,
-                    points=_resonance_panels(model, lo, hi) or None,
-                    epsabs=MEAN_REFLECTION_ABS_TOL * (hi - lo),
-                    epsrel=1e-12, limit=200)
-    return val / (hi - lo)
+    return model.weight * dip_integral(model.resonance, lo, hi) / (hi - lo)

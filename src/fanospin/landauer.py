@@ -2,12 +2,13 @@
 
 I = (e/h) * sum_i integral dE T_i(E) [f_s(E) - f_d(E)], spin-polarized
 prefactor e/h (no factor 2).  Ballistic mode contributions have a closed
-form; the current deficit carved out by the Fano dip is integrated by
-adaptive quadrature and scaled by the spin-channel weight, so the
-antiparallel deficit is half the parallel one to machine precision.
+form.  The current deficit carved out by the Fano dip is scaled by the
+spin-channel weight, so the antiparallel deficit is half the parallel one
+to machine precision.  At T = 0 the deficit is the closed form
+``fano.dip_integral``; at T > 0 it is the one adaptive quadrature left.
 
-T = 0 K is an exact special case (sharp integration window), not a small-T
-limit.
+T = 0 K (any T whose k_B T is 0 in floating point) is an exact special
+case with a sharp integration window, not a small-T limit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .constants import CONSTANTS, CURRENT_PER_MEV, thermal_energy
 from .config import DeviceConfig
 from .dot_spectrum import (eigenlevels, target_level,
                            two_electron_hamiltonian)
-from .fano import TransmissionModel, from_config, spin_channel_reflection, \
+from .fano import TransmissionModel, dip_integral, from_config, \
     total_transmission
 
 QUAD_REL_TOL = 1e-8
@@ -64,11 +65,9 @@ def fermi(E, mu: float, temperature: float):
 
     Overflow-safe for arbitrarily large |E - mu| / kT.
     """
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0 K")
-    if temperature == 0:
-        return np.where(E < mu, 1.0, np.where(E > mu, 0.0, 0.5))[()]
     kT = thermal_energy(temperature)
+    if kT == 0:
+        return np.where(E < mu, 1.0, np.where(E > mu, 0.0, 0.5))[()]
     with np.errstate(over="ignore"):    # inf argument is fine for expit
         return expit(-(np.asarray(E) - mu) / kT)[()]
 
@@ -84,24 +83,13 @@ def _softplus_energy(mu: float, bottom: float, kT: float) -> float:
 
 def _ballistic_integral(bottom: float, bias: BiasPoint) -> float:
     """integral_bottom^inf [f_s - f_d] dE in meV, closed form."""
-    mu_s, mu_d, T = bias.mu_source, bias.mu_drain, bias.temperature
-    if T == 0:
+    mu_s, mu_d = bias.mu_source, bias.mu_drain
+    kT = thermal_energy(bias.temperature)
+    if kT == 0:
         return max(0.0, mu_s - bottom) - max(0.0, mu_d - bottom)
-    kT = thermal_energy(T)
     # integral of f from bottom to inf = kT * softplus((mu - bottom)/kT)
     return _softplus_energy(mu_s, bottom, kT) - _softplus_energy(
         mu_d, bottom, kT)
-
-
-def _quad_checked(fn, lo: float, hi: float, points=None,
-                  epsabs: float = 0.0) -> float:
-    val, err, info, *rest = quad(fn, lo, hi, points=points, limit=400,
-                                 epsrel=QUAD_REL_TOL, epsabs=epsabs,
-                                 full_output=True)
-    if rest:
-        raise QuadratureError(
-            f"quadrature did not converge on [{lo}, {hi}]: {rest[0]}")
-    return val
 
 
 def _deficit_integral(model: TransmissionModel, bias: BiasPoint) -> float:
@@ -114,21 +102,15 @@ def _deficit_integral(model: TransmissionModel, bias: BiasPoint) -> float:
     bottom = model.modes[model.coupled_index].bottom_energy
     mu_lo = min(bias.mu_source, bias.mu_drain)
     mu_hi = max(bias.mu_source, bias.mu_drain)
-    sign = 1.0 if bias.mu_source >= bias.mu_drain else -1.0
-    dip = lambda E: 1.0 - (abs((E - res.energy) + res.q * res.Gamma) ** 2
-                           / ((E - res.energy) ** 2 + res.Gamma ** 2))
-
-    if bias.temperature == 0:
-        lo, hi = max(bottom, mu_lo), mu_hi
-        if lo >= hi:
-            return 0.0
-        pts = [res.energy + k * res.Gamma
-               for k in (-10.0, -3.0, -1.0, 0.0, 1.0, 3.0, 10.0)]
-        pts = sorted({p for p in pts if lo < p < hi}) or None
-        return sign * _quad_checked(dip, lo, hi, points=pts,
-                                    epsabs=1e-14 * (hi - lo))
-
     kT = thermal_energy(bias.temperature)
+
+    if kT == 0:
+        lo = max(bottom, mu_lo)
+        if lo >= mu_hi:
+            return 0.0
+        sign = 1.0 if bias.mu_source >= bias.mu_drain else -1.0
+        return sign * dip_integral(res, lo, mu_hi)
+
     pad = WINDOW_PAD_KT * kT + WINDOW_PAD_GAMMA * res.Gamma
     lo = max(bottom, min(mu_lo, res.energy) - pad)
     hi = max(mu_hi, res.energy) + pad
@@ -136,15 +118,22 @@ def _deficit_integral(model: TransmissionModel, bias: BiasPoint) -> float:
         return 0.0
 
     def integrand(E: float) -> float:
-        return dip(E) * float(fermi(E, bias.mu_source, bias.temperature)
-                              - fermi(E, bias.mu_drain, bias.temperature))
+        eps = E - res.energy
+        dip = 1.0 - abs(eps + res.q * res.Gamma) ** 2 / (eps**2 + res.Gamma**2)
+        return dip * float(fermi(E, bias.mu_source, bias.temperature)
+                           - fermi(E, bias.mu_drain, bias.temperature))
 
     pts = [res.energy + k * res.Gamma
            for k in (-10.0, -3.0, -1.0, 0.0, 1.0, 3.0, 10.0)]
     pts += [bias.mu_source, bias.mu_drain]
     pts = sorted({p for p in pts if lo < p < hi}) or None
-    return _quad_checked(integrand, lo, hi, points=pts,
-                         epsabs=1e-14 * (hi - lo))
+    val, err, info, *rest = quad(integrand, lo, hi, points=pts, limit=400,
+                                 epsrel=QUAD_REL_TOL, epsabs=1e-14 * (hi - lo),
+                                 full_output=True)
+    if rest:
+        raise QuadratureError(
+            f"quadrature did not converge on [{lo}, {hi}]: {rest[0]}")
+    return val
 
 
 def current_components(bias: BiasPoint,
@@ -171,9 +160,10 @@ def linear_conductance(model: TransmissionModel, temperature: float,
                        mu: float) -> float:
     """dI/dV at V = 0, in S.  Exact G0 * T(mu) at T = 0, else a central
     difference with step max(kT, Gamma) / 100."""
-    if temperature == 0:
+    kT = thermal_energy(temperature)
+    if kT == 0:
         return CONSTANTS.G0_spin_polarized * total_transmission(mu, model)
-    h = max(thermal_energy(temperature), model.resonance.Gamma) / 100.0
+    h = max(kT, model.resonance.Gamma) / 100.0
     I_p = current(BiasPoint(mu + h / 2, mu - h / 2, temperature), model)
     I_m = current(BiasPoint(mu - h / 2, mu + h / 2, temperature), model)
     return (I_p - I_m) / (2.0 * h * 1e-3)

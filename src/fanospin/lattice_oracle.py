@@ -11,6 +11,9 @@ from matching plane-wave solutions across that site:
 This is the retarded-Green's-function (self-energy) route; it involves no
 lineshape ansatz, so it serves as an independent check of the analytic Fano
 formula in the weak-coupling limit.
+
+The dip minimum is eps_d exactly and its half-depth points are roots of a
+quartic, so the oracle needs no optimiser and no bracketing search.
 """
 
 from __future__ import annotations
@@ -19,11 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .fano import fano_transmission
-
-HALF_WIDTH_XTOL_FACTOR = 1e-6   # times hopping_t, bisection tolerance
 
 
 class BandEdgeError(ValueError):
@@ -31,7 +31,7 @@ class BandEdgeError(ValueError):
 
 
 class ExtractionError(RuntimeError):
-    """Dip too shallow for a half-width-at-half-depth extraction."""
+    """No dip, or a dip flank that never recovers to half depth."""
 
 
 @dataclass(frozen=True)
@@ -81,55 +81,43 @@ def oracle_reflection(E: float, lattice: OracleLattice) -> float:
 
 
 def dip_minimum(lattice: OracleLattice) -> float:
-    """Energy of the transmission minimum (perfect antiresonance)."""
+    """Energy of the transmission minimum: the side level itself, where
+    sigma diverges and T = 0 exactly (perfect antiresonance)."""
     if lattice.coupling_tp == 0:
         raise ExtractionError("decoupled level: transmission has no dip")
     eps_d = lattice.site_energy_eps_d
     if abs(eps_d) >= lattice.band_edge:
         raise ExtractionError("side level lies outside the band")
-    span = min(lattice.band_edge - abs(eps_d), lattice.band_edge) * 0.5
-    res = minimize_scalar(lambda E: oracle_transmission(E, lattice),
-                          bounds=(eps_d - span, eps_d + span),
-                          method="bounded",
-                          options={"xatol": 1e-12 * lattice.hopping_t})
-    # the side level itself is always a candidate (exact antiresonance)
-    best = min((float(res.x), eps_d),
-               key=lambda E: oracle_transmission(E, lattice))
-    return best
+    return eps_d
 
 
-def effective_broadening(lattice: OracleLattice,
-                         E_center: float | None = None) -> float:
+def effective_broadening(lattice: OracleLattice) -> float:
     """Half-width at half depth of the oracle dip, mean of both sides.
 
-    Bisection on T(E) = 1/2 outward from the minimum; tolerance
-    1e-6 * hopping_t.
+    T = 1/2 where sigma^2 = v^2, i.e. (E - eps_d)^2 (4 t^2 - E^2) = tp^4,
+    whose real roots all lie in the band.  In w = sigma / t (eta = eps_d / t,
+    p = tp / t) it reads w^4 - (4 - eta^2) w^2 + 2 eta p^2 w + p^4 = 0; the
+    roots next to the dip are the O(1) ones of largest |w| on each side, so
+    numpy.roots resolves them at any coupling.  Newton steps on the quartic
+    polish each; the half-width is tp^2 / (t |w|).  A side without a real
+    root (flank never back up to 1/2) raises ExtractionError.
     """
-    E_min = dip_minimum(lattice) if E_center is None else E_center
-    t_min = oracle_transmission(E_min, lattice)
-    if t_min > 0.5:
-        raise ExtractionError(
-            f"dip depth {1 - t_min:.3g} < 0.5; half-width undefined")
-    xtol = HALF_WIDTH_XTOL_FACTOR * lattice.hopping_t
-    edge = lattice.band_edge * (1.0 - 1e-9)
-    # initial flank step: weak-coupling width estimate
-    step0 = max(lattice.coupling_tp**2 / (2.0 * lattice.hopping_t), xtol)
+    eps_d = dip_minimum(lattice)
+    t, tp = lattice.hopping_t, lattice.coupling_tp
+    eta, p2 = eps_d / t, (tp / t) ** 2
+    quartic = [1.0, 0.0, eta * eta - 4.0, 2.0 * eta * p2, p2 * p2]
+    slope = np.polyder(quartic)
+    real = [r.real for r in np.roots(quartic) if r.imag == 0]
     widths = []
-    for sign in (-1.0, +1.0):
-        # expand outward until the flank recovers above 1/2
-        # (transmission also vanishes at the band edges, so probe inward out)
-        step = step0
-        outer = E_min + sign * step
-        while abs(outer) < edge and oracle_transmission(outer, lattice) < 0.5:
-            step *= 2.0
-            outer = E_min + sign * step
-        if abs(outer) >= edge:
-            outer = sign * edge
-            if oracle_transmission(outer, lattice) < 0.5:
-                raise ExtractionError("dip flank does not recover above 1/2")
-        x = brentq(lambda E: oracle_transmission(E, lattice) - 0.5,
-                   *sorted((E_min + sign * xtol, outer)), xtol=xtol)
-        widths.append(abs(x - E_min))
+    for side in (-1.0, 1.0):
+        w = max((r for r in real if side * r > 0), key=abs, default=None)
+        if w is None:
+            raise ExtractionError(
+                f"dip flank on the {'low' if side < 0 else 'high'}-energy "
+                f"side does not recover to T = 1/2 inside the band")
+        for _ in range(3):
+            w -= np.polyval(quartic, w) / np.polyval(slope, w)
+        widths.append(tp * (tp / t) / abs(float(w)))
     return 0.5 * (widths[0] + widths[1])
 
 
@@ -148,7 +136,7 @@ def compare_to_fano(lattice: OracleLattice,
         ones = np.ones_like(grid)
         return 0.0, 0.0, grid, ones, ones
     E_min = dip_minimum(lattice)
-    gamma = effective_broadening(lattice, E_min)
+    gamma = effective_broadening(lattice)
     half = window_halfwidth * gamma
     edge = lattice.band_edge * (1.0 - 1e-9)
     lo = max(E_min - half, -edge)

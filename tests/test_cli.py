@@ -52,6 +52,18 @@ def test_validation_failure_exits_1_naming_key(tmp_path):
     assert "Gamma" in proc.stderr
 
 
+@pytest.mark.parametrize("override, key", [
+    ("modes.5.bottom_energy=1", "modes.5.bottom_energy"),
+    ("q=[1]", "q"),
+    ("J.x=1", "J.x"),
+], ids=["mode-index-out-of-range", "q-one-component", "J-not-an-object"])
+def test_malformed_override_exits_1_naming_key(tmp_path, override, key):
+    proc = run_cli(["levels", "--set", override, "--out", str(tmp_path)])
+    assert proc.returncode == 1
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_levels_csv_matches_analytic_eigenvalues(tmp_path, config_file):
     rc = main(["levels", "--config", str(config_file),
                "--set", "J=1", "--set", "beta=0.5",
@@ -116,6 +128,14 @@ def test_oracle_csv_summary_line(tmp_path):
     assert lines[1] == "E_meV,T_oracle,T_fano,abs_deviation"
     dev = float(lines[0].split("max_abs_deviation=")[1])
     assert dev < 0.01
+
+
+def test_oracle_half_width_below_former_bisection_tolerance(tmp_path):
+    rc = main(["oracle", "--coupling-tp", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    comment = (tmp_path / "oracle.csv").read_text().split("\n")[0]
+    gamma = float(comment.split()[1].split("=")[1])
+    assert gamma == pytest.approx(5e-4, rel=1e-12)
 
 
 def test_sweep_factor_two_in_csv(tmp_path):

@@ -1,14 +1,16 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 
 from fanospin.config import Mode
 from fanospin.dot_spectrum import ResonanceSpec
 from fanospin.fano import (SpinOrientation, TransmissionModel,
-                           UnphysicalTransmissionWarning, fano_transmission,
-                           mean_reflection, mode_transmission,
-                           spin_channel_reflection)
+                           UnphysicalTransmissionWarning, dip_integral,
+                           fano_transmission, mean_reflection,
+                           mode_transmission, spin_channel_reflection)
 
 energies = st.floats(min_value=-100, max_value=100, allow_nan=False)
 gammas = st.floats(min_value=1e-3, max_value=50, allow_nan=False)
@@ -42,6 +44,9 @@ def test_unphysical_transmission_warned():
     with pytest.warns(UnphysicalTransmissionWarning):
         t = fano_transmission(1.0, 1.0, 2j)
     assert t > 1.0
+    # any real q != 0 exceeds 1 on one side of the resonance
+    with pytest.warns(UnphysicalTransmissionWarning, match="Re q = 0"):
+        assert fano_transmission(1.0, 1.0, 0.5 + 0j) > 1.0
 
 
 @given(detuning=energies, Gamma=gammas)
@@ -129,3 +134,30 @@ def test_mean_reflection_rejects_bad_window():
         mean_reflection(m, (2.0, 1.0))
     with pytest.raises(ValueError):
         mean_reflection(m, (0.0, math.inf))
+
+
+def test_dip_integral_matches_quadrature():
+    # seeded windows around and away from the dip, q = 0 or purely imaginary
+    rng = random.Random(2)
+    for _ in range(200):
+        E0, Gamma = rng.uniform(-20, 20), 10 ** rng.uniform(-2, 1)
+        q = complex(0.0, rng.uniform(-1, 1)) if rng.random() < 0.5 else 0j
+        lo = E0 + rng.uniform(-30, 30) * Gamma
+        hi = lo + 10 ** rng.uniform(-3, 2) * Gamma
+        res = ResonanceSpec(energy=E0, Gamma=Gamma, q=q)
+        dip = lambda E: 1.0 - fano_transmission(E - E0, Gamma, q)
+        pts = [p for p in (E0 - Gamma, E0, E0 + Gamma) if lo < p < hi]
+        ref, _ = quad(dip, lo, hi, points=pts or None, epsabs=0.0,
+                      epsrel=1e-13, limit=200)
+        assert dip_integral(res, lo, hi) == pytest.approx(ref, rel=1e-10)
+
+
+def test_dip_integral_narrow_window_with_real_q():
+    # window of 1e-9 Gamma: the area is the integrand times the width
+    res = ResonanceSpec(energy=0.0, Gamma=1.0, q=0.7 + 0.2j)
+    for E in (-3.0, -0.4, 0.0, 0.9, 25.0):
+        hi = E + 1e-9
+        eps = (E + hi) / 2
+        mid = 1.0 - abs(eps + res.q) ** 2 / (eps**2 + 1.0)
+        assert dip_integral(res, E, hi) / (hi - E) == pytest.approx(
+            mid, rel=1e-8)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanospin.config import DeviceConfig, Mode, validate
 from fanospin.constants import CONSTANTS, CURRENT_PER_MEV
@@ -93,10 +93,21 @@ def test_deficit_exactly_linear_in_weight():
 @settings(max_examples=20, deadline=None)
 @given(Gamma=st.floats(0.05, 2.0), V=st.floats(0.05, 4.0),
        T=st.floats(0.0, 300.0), offset=st.floats(-3.0, 3.0))
+@example(Gamma=1.0, V=1.0, T=5e-324, offset=0.0)
 def test_bounded_current(Gamma, V, T, offset):
     m = make_model(E0=10.0 + offset, Gamma=Gamma, bottom=-2000.0)
     I = current(BiasPoint(10.0 + V / 2, 10.0 - V / 2, T), m)
     assert abs(I) <= G0 * V * 1e-3 * (1 + 1e-9)
+
+
+def test_subnormal_temperature_is_exact_zero_T():
+    # k_B * 5e-324 K rounds to 0 meV: the sharp-window path must run
+    m = make_model(E0=9.5, Gamma=0.2, bottom=0.0)
+    for T in (5e-324, 1e-323):
+        assert fermi(3.0, 3.0, T) == 0.5
+        assert current(BiasPoint(10.0, 9.0, T), m) == current(
+            BiasPoint(10.0, 9.0, 0.0), m)
+        assert linear_conductance(m, T, 9.6) == linear_conductance(m, 0.0, 9.6)
 
 
 def test_current_antisymmetry():

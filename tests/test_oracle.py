@@ -1,6 +1,12 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanospin.lattice_oracle import (BandEdgeError, ExtractionError,
                                      OracleLattice, compare_to_fano,
@@ -72,12 +78,53 @@ def test_effective_broadening_symmetric_at_band_center():
     lat = OracleLattice(hopping_t=1000.0, site_energy_eps_d=0.0,
                         coupling_tp=100.0)
     E_min = dip_minimum(lat)
-    gamma = effective_broadening(lat, E_min)
+    gamma = effective_broadening(lat)
     # left/right half-widths agree within 1%: compare single-sided values
     t_half_left = oracle_transmission(E_min - gamma, lat)
     t_half_right = oracle_transmission(E_min + gamma, lat)
     assert t_half_left == pytest.approx(0.5, abs=0.01)
     assert t_half_right == pytest.approx(0.5, abs=0.01)
+
+
+@given(t=st.floats(1e-2, 1e4), ratio=st.floats(1e-4, 1.0))
+@example(t=1000.0, ratio=1e-3)   # half-widths below 1e-6 t, the former
+@example(t=1000.0, ratio=1.5e-3)  # bisection tolerance
+def test_effective_broadening_exact_at_band_center(t, ratio):
+    # (E^2)(4 t^2 - E^2) = tp^4  =>  E^2 = tp^4 / (2 t^2 + sqrt(4 t^4 - tp^4))
+    tp = ratio * t
+    lat = OracleLattice(hopping_t=t, site_energy_eps_d=0.0, coupling_tp=tp)
+    w = effective_broadening(lat)
+    exact = math.sqrt(tp**4 / (2 * t**2 + math.sqrt(4 * t**4 - tp**4)))
+    assert w == pytest.approx(exact, rel=1e-12)
+    assert oracle_transmission(-w, lat) == pytest.approx(0.5, abs=1e-12)
+    assert oracle_transmission(w, lat) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_effective_broadening_narrow_flank_near_band_edge():
+    # strong coupling, level near the upper band edge: the upper flank
+    # recovers above 1/2 only in a narrow energy interval
+    lat = OracleLattice(hopping_t=600.1261934226221,
+                        site_energy_eps_d=389.07771161932703,
+                        coupling_tp=630.3745380061459)
+    w = effective_broadening(lat)
+    assert 0.0 < w < lat.band_edge
+
+
+def test_effective_broadening_flank_that_never_recovers():
+    with pytest.raises(ExtractionError):
+        effective_broadening(OracleLattice(1.0, 0.0, 3.0))
+
+
+def test_oracle_convergence_script(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "oracle_convergence.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "oracle_lineshape.csv").read_text().startswith(
+        "E_meV,T_oracle,T_fano")
 
 
 def test_effective_broadening_requires_a_dip():
