@@ -15,17 +15,18 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, DeviceConfig, apply_overrides,
+from .config import (ConfigError, DeviceConfig, Spin, apply_overrides,
                      default_config, dumps, load_file, validate)
 from .dot_spectrum import eigenlevels, two_electron_hamiltonian
 from .fano import SpinOrientation, mode_transmission
-from .landauer import QuadratureError, iv_curve, model_from_config
+from .landauer import iv_curve, model_from_config
 from .lattice_oracle import (BandEdgeError, ExtractionError, OracleLattice,
                              compare_to_fano)
 from .readout import nondemolition_summary, readout_report
@@ -97,7 +98,7 @@ def _run_levels(cfg: DeviceConfig, args, out: Path) -> list[Path]:
 
 def _run_sweep(cfg: DeviceConfig, args, out: Path) -> list[Path]:
     model_par = model_from_config(cfg, SpinOrientation.PARALLEL)
-    model_anti = model_from_config(cfg, SpinOrientation.ANTIPARALLEL)
+    model_anti = replace(model_par, orientation=SpinOrientation.ANTIPARALLEL)
     res = model_par.resonance
     if args.grid:
         grid = _parse_grid(args.grid)
@@ -133,8 +134,6 @@ def _run_iv(cfg: DeviceConfig, args, out: Path) -> list[Path]:
         grid = _parse_grid(args.grid)
     else:
         grid = np.linspace(-2 * cfg.Gamma, 2 * cfg.Gamma, 81)
-    from dataclasses import replace
-    from .config import Spin
     curve_par = iv_curve(replace(cfg, dot_spin=Spin.UP), grid)
     curve_anti = iv_curve(replace(cfg, dot_spin=Spin.DOWN), grid)
     path = out / "iv.csv"
@@ -269,7 +268,7 @@ def main(argv=None) -> int:
             return EXIT_NUMERICAL
         print(f"fanospin: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (QuadratureError, ExtractionError, ArithmeticError) as exc:
+    except (ExtractionError, ArithmeticError) as exc:
         print(f"fanospin: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

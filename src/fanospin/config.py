@@ -151,44 +151,56 @@ def to_dict(config: DeviceConfig) -> dict:
     return d
 
 
+_REQUIRED_NUMBERS = ("eps0", "eps1", "U_C", "J", "Gamma", "mu_source",
+                     "V_sd", "temperature")
+_OPTIONAL_NUMBERS = ("beta", "alpha_R", "D")
+
+
+def _modes(raw) -> tuple[Mode, ...]:
+    return tuple(Mode(bottom_energy=float(m["bottom_energy"]),
+                      coupled=bool(m.get("coupled", False))) for m in raw)
+
+
+def _q(raw) -> complex:
+    if isinstance(raw, (list, tuple)):
+        if len(raw) != 2:
+            raise ValueError(f"expected [re, im], got {raw!r}")
+        return complex(raw[0], raw[1])
+    return complex(raw)
+
+
 def from_dict(d: dict) -> DeviceConfig:
-    known = {"eps0", "eps1", "U_C", "J", "Gamma", "mu_source", "V_sd",
-             "temperature", "modes", "q", "dot_spin", "wire_spin",
-             "beta", "alpha_R", "D"}
+    """Build an unvalidated config; every bad value is reported by key."""
+    if not isinstance(d, dict):
+        raise ConfigError([f"config: expected a JSON object, got "
+                           f"{type(d).__name__}"])
+    known = {*_REQUIRED_NUMBERS, *_OPTIONAL_NUMBERS, "modes", "q", "dot_spin",
+             "wire_spin"}
     unknown = set(d) - known
     if unknown:
         raise ConfigError([f"{k}: unknown key" for k in sorted(unknown)])
-    try:
-        modes = tuple(Mode(bottom_energy=float(m["bottom_energy"]),
-                           coupled=bool(m.get("coupled", False)))
-                      for m in d["modes"])
-        q_raw = d.get("q", [0.0, 0.0])
-        if isinstance(q_raw, (list, tuple)) and len(q_raw) != 2:
-            raise ConfigError([f"q: expected [re, im], got {q_raw!r}"])
-        q = complex(q_raw[0], q_raw[1]) if isinstance(
-            q_raw, (list, tuple)) else complex(q_raw)
-        cfg = DeviceConfig(
-            eps0=float(d["eps0"]),
-            eps1=float(d["eps1"]),
-            U_C=float(d["U_C"]),
-            J=float(d["J"]),
-            Gamma=float(d["Gamma"]),
-            mu_source=float(d["mu_source"]),
-            V_sd=float(d["V_sd"]),
-            temperature=float(d["temperature"]),
-            modes=modes,
-            beta=None if d.get("beta") is None else float(d["beta"]),
-            alpha_R=None if d.get("alpha_R") is None else float(d["alpha_R"]),
-            D=None if d.get("D") is None else float(d["D"]),
-            q=q,
-            dot_spin=Spin(d.get("dot_spin", "Up")),
-            wire_spin=Spin(d.get("wire_spin", "Up")),
-        )
-    except (LookupError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError([f"config: {exc!r}"]) from exc
-    return cfg
+    missing = [k for k in _REQUIRED_NUMBERS + ("modes",) if d.get(k) is None]
+    if missing:
+        raise ConfigError([f"{k}: required" for k in missing])
+    errs: list[str] = []
+
+    def parse(key, convert, default=None):
+        raw = d.get(key)
+        if raw is None:
+            return default
+        try:
+            return convert(raw)
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            errs.append(f"{key}: {exc}")
+
+    fields = {k: parse(k, float)
+              for k in _REQUIRED_NUMBERS + _OPTIONAL_NUMBERS}
+    fields.update(modes=parse("modes", _modes), q=parse("q", _q, 0j),
+                  dot_spin=parse("dot_spin", Spin, Spin.UP),
+                  wire_spin=parse("wire_spin", Spin, Spin.UP))
+    if errs:
+        raise ConfigError(errs)
+    return DeviceConfig(**fields)
 
 
 def dumps(config: DeviceConfig) -> str:

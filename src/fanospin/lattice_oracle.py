@@ -19,6 +19,7 @@ quartic, so the oracle needs no optimiser and no bracketing search.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,8 @@ class BandEdgeError(ValueError):
 
 
 class ExtractionError(RuntimeError):
-    """No dip, or a dip flank that never recovers to half depth."""
+    """No dip, a dip flank that never recovers to half depth, or a dip that
+    floating point cannot resolve."""
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,16 @@ def effective_broadening(lattice: OracleLattice) -> float:
     roots next to the dip are the O(1) ones of largest |w| on each side, so
     numpy.roots resolves them at any coupling.  Newton steps on the quartic
     polish each; the half-width is tp^2 / (t |w|).  A side without a real
-    root (flank never back up to 1/2) raises ExtractionError.
+    root (flank never back up to 1/2) raises ExtractionError, and so does a
+    tp/t whose quartic overflows or a width whose square underflows.
     """
     eps_d = dip_minimum(lattice)
     t, tp = lattice.hopping_t, lattice.coupling_tp
-    eta, p2 = eps_d / t, (tp / t) ** 2
+    eta, p2 = eps_d / t, (tp / t) * (tp / t)
     quartic = [1.0, 0.0, eta * eta - 4.0, 2.0 * eta * p2, p2 * p2]
+    if not np.isfinite(quartic).all():
+        raise ExtractionError(
+            f"tp/t = {tp / t:g} overflows the half-width quartic")
     slope = np.polyder(quartic)
     real = [r.real for r in np.roots(quartic) if r.imag == 0]
     widths = []
@@ -118,7 +124,12 @@ def effective_broadening(lattice: OracleLattice) -> float:
         for _ in range(3):
             w -= np.polyval(quartic, w) / np.polyval(slope, w)
         widths.append(tp * (tp / t) / abs(float(w)))
-    return 0.5 * (widths[0] + widths[1])
+    gamma = 0.5 * (widths[0] + widths[1])
+    if gamma < math.sqrt(sys.float_info.min):
+        raise ExtractionError(
+            f"Gamma_eff = {gamma:g} meV at tp/t = {tp / t:g} is too narrow: "
+            f"its square underflows")
+    return gamma
 
 
 def compare_to_fano(lattice: OracleLattice,
@@ -141,6 +152,13 @@ def compare_to_fano(lattice: OracleLattice,
     edge = lattice.band_edge * (1.0 - 1e-9)
     lo = max(E_min - half, -edge)
     hi = min(E_min + half, edge)
+    step = (hi - lo) / max(n_points - 1, 1)
+    spacing = float(np.spacing(max(abs(lo), abs(hi))))
+    if step < spacing:
+        raise ExtractionError(
+            f"Gamma_eff = {gamma:g} meV is not resolvable at {E_min:g} meV: "
+            f"the grid step {step:g} meV is below the float spacing "
+            f"{spacing:g} meV")
     grid = np.linspace(lo, hi, n_points)
     t_oracle = np.array([oracle_transmission(E, lattice) for E in grid])
     t_fano = np.array([fano_transmission(E - E_min, gamma, 0j)

@@ -3,9 +3,9 @@ antiparallel dot spins, N-qubit sensitivity scaling, and the
 non-demolition verdict.
 
 Relative current decreases are quoted against the ballistic wire (dot
-decoupled) at identical bias.  The current deficits are evaluated as
-dedicated integrals scaled by the spin-channel weight, so the antiparallel
-deficit is exactly half the parallel one.
+decoupled) at identical bias.  The parallel current deficit is evaluated
+as a dedicated integral; the antiparallel one is that deficit times its
+spin-channel weight 1/2, so the halving is exact.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .constants import ZEEMAN_REFERENCE_MEV
 from .config import DeviceConfig
 from .dot_spectrum import (MarginReport, SpinFlipTime, levels_distinguishable,
                            spin_flip_blocked, spin_flip_time)
-from .fano import SpinOrientation, mean_reflection
+from .fano import CHANNEL_WEIGHT, SpinOrientation, mean_reflection
 from .landauer import (BiasPoint, current_components, linear_conductance,
                        model_from_config, optimal_bias)
 
@@ -86,12 +86,11 @@ class NondemolitionSummary:
 def readout_report(config: DeviceConfig,
                    strictness: float = 3.0) -> ReadoutReport:
     model_par = model_from_config(config, SpinOrientation.PARALLEL)
-    model_anti = model_from_config(config, SpinOrientation.ANTIPARALLEL)
     bias = BiasPoint(mu_source=config.mu_source,
                      mu_drain=config.mu_source - config.V_sd,
                      temperature=config.temperature)
     I_ball, d_par = current_components(bias, model_par)
-    _, d_anti = current_components(bias, model_anti)
+    d_anti = CHANNEL_WEIGHT[SpinOrientation.ANTIPARALLEL] * d_par
     rel = lambda d: d / I_ball if I_ball != 0 else 0.0
     res = model_par.resonance
     return ReadoutReport(

@@ -56,7 +56,10 @@ def test_validation_failure_exits_1_naming_key(tmp_path):
     ("modes.5.bottom_energy=1", "modes.5.bottom_energy"),
     ("q=[1]", "q"),
     ("J.x=1", "J.x"),
-], ids=["mode-index-out-of-range", "q-one-component", "J-not-an-object"])
+    ("J=1" + "0" * 400, "J"),
+    ("modes=5", "modes"),
+], ids=["mode-index-out-of-range", "q-one-component", "J-not-an-object",
+        "J-overflows-float", "modes-not-a-list"])
 def test_malformed_override_exits_1_naming_key(tmp_path, override, key):
     proc = run_cli(["levels", "--set", override, "--out", str(tmp_path)])
     assert proc.returncode == 1
@@ -136,6 +139,28 @@ def test_oracle_half_width_below_former_bisection_tolerance(tmp_path):
     comment = (tmp_path / "oracle.csv").read_text().split("\n")[0]
     gamma = float(comment.split()[1].split("=")[1])
     assert gamma == pytest.approx(5e-4, rel=1e-12)
+
+
+@pytest.mark.parametrize("args, needle", [
+    (["--coupling-tp", "1e100", "--hopping-t", "1"], "tp/t"),
+    (["--coupling-tp", "1e-200"], "Gamma_eff"),
+    (["--coupling-tp", "1e-6", "--eps-d", "300"], "Gamma_eff"),
+], ids=["quartic-overflows", "width-underflows", "width-below-float-spacing"])
+def test_oracle_unresolvable_dip_exits_2(tmp_path, capsys, args, needle):
+    rc = main(["oracle", *args, "--out", str(tmp_path)])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "oracle.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fanospin.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sweep_factor_two_in_csv(tmp_path):

@@ -110,6 +110,21 @@ def test_subnormal_temperature_is_exact_zero_T():
         assert linear_conductance(m, T, 9.6) == linear_conductance(m, 0.0, 9.6)
 
 
+@pytest.mark.parametrize("T", [1e-300, 0.1, 4.0, 40.0, 300.0])
+def test_finite_T_current_exactly_antisymmetric(T):
+    m = make_model(E0=7.45, Gamma=0.3, q=0.3 + 0j, bottom=7.0)
+    for V in (1e-3, 0.5, 2.0, 30.0):
+        forward = current(BiasPoint(7.25 + V / 2, 7.25 - V / 2, T), m)
+        assert current(BiasPoint(7.25 - V / 2, 7.25 + V / 2, T), m) == -forward
+
+
+def test_conductance_below_float_resolution_is_a_step():
+    # k_B T = 9e-302 meV moves no energy near 9.6 meV: -df/dE is a delta
+    m = make_model(E0=9.5, Gamma=0.2, bottom=0.0)
+    assert linear_conductance(m, 1e-300, 9.6) == linear_conductance(
+        m, 0.0, 9.6)
+
+
 def test_current_antisymmetry():
     cfg = validate(DeviceConfig(
         eps0=0.0, eps1=8.0, U_C=2.0, J=1.0, beta=0.5, Gamma=0.5,
@@ -191,3 +206,66 @@ def test_optimal_bias():
     assert optimal_bias(2.0) == 2.0
     with pytest.raises(ValueError):
         optimal_bias(0.0)
+
+
+# --- Finite-T kernel against mpmath ---------------------------------------
+
+KT_REF, MU_REF, V_REF = 0.1, 7.25, 0.5      # meV: window 7.0 .. 7.5 meV
+KERNEL_CASES = [
+    # Gamma/kT in {1e-3, 1, 1e3}; subband bottom far below, inside the bias
+    # window, and 2.5 kT above it; resonance inside the window
+    (G, q, bottom, 7.45)
+    for G in (1e-4, 0.1, 100.0)
+    for q in (0j, 0.3 + 0j, 0.5j)
+    for bottom in (-1000.0, 7.15, 7.75)
+] + [
+    (0.1, 0.3 + 0j, -1000.0, 4.25),     # resonance 30 kT below the window
+    (1e-4, 0.5j, 7.15, 7.5),            # resonance on mu_source
+    (100.0, 0.3 + 0j, 7.15, 17.25),     # broad resonance far above
+]
+
+
+def _mpmath_reference(Gamma, q, bottom, E_res):
+    """(unit-weight deficit in meV, parallel G / G0), by mpmath quadrature
+    on panels graded by 8 from E_res (scale Gamma) and each mu (scale kT),
+    out to 60 kT."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        kT, qm = mp.mpf(KT_REF), mp.mpc(q)
+
+        def dip(E):
+            return 1 - abs(E - E_res + qm * Gamma) ** 2 / (
+                (E - E_res) ** 2 + Gamma ** 2)
+
+        def f(E, mu):
+            return 1 / (1 + mp.exp((E - mu) / kT))
+
+        def integral(g, lo, hi, centres):
+            if lo >= hi:
+                return 0
+            pts = {lo, hi} | {c for c, _ in centres if lo < c < hi}
+            pts |= {p for c, s in centres for k in range(-1, 30)
+                    for p in (c - s * 8 ** k, c + s * 8 ** k) if lo < p < hi}
+            return mp.quad(g, sorted(pts), method="gauss-legendre")
+
+        mu_s, mu_d = MU_REF + V_REF / 2, MU_REF - V_REF / 2
+        deficit = integral(lambda E: dip(E) * (f(E, mu_s) - f(E, mu_d)),
+                           max(bottom, mu_d - 60 * KT_REF),
+                           mu_s + 60 * KT_REF,
+                           [(E_res, Gamma), (mu_s, KT_REF), (mu_d, KT_REF)])
+        g_dip = integral(lambda E: dip(E) * f(E, MU_REF) * (1 - f(E, MU_REF))
+                         / kT, max(bottom, MU_REF - 60 * KT_REF),
+                         MU_REF + 60 * KT_REF,
+                         [(E_res, Gamma), (MU_REF, KT_REF)])
+        return float(deficit), float(f(bottom, MU_REF) - g_dip)
+
+
+@pytest.mark.parametrize("Gamma, q, bottom, E_res", KERNEL_CASES)
+def test_finite_T_kernel_matches_mpmath(Gamma, q, bottom, E_res):
+    deficit, g = _mpmath_reference(Gamma, q, bottom, E_res)
+    m = make_model(E0=E_res, Gamma=Gamma, q=q, bottom=bottom)
+    T = KT_REF / CONSTANTS.k_B
+    _, d = current_components(
+        BiasPoint(MU_REF + V_REF / 2, MU_REF - V_REF / 2, T), m)
+    assert abs(d / CURRENT_PER_MEV - deficit) <= 1e-12 * V_REF
+    assert abs(linear_conductance(m, T, MU_REF) / G0 - g) <= 1e-12
