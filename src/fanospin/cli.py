@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, DeviceConfig, Spin, apply_overrides,
                      default_config, dumps, load_file, validate)
-from .dot_spectrum import eigenlevels, two_electron_hamiltonian
+from .dot_spectrum import eigenlevels
 from .fano import SpinOrientation, mode_transmission
 from .landauer import iv_curve, model_from_config
 from .lattice_oracle import (BandEdgeError, ExtractionError, OracleLattice,
@@ -85,7 +85,7 @@ def _load_config(args) -> DeviceConfig:
 
 
 def _run_levels(cfg: DeviceConfig, args, out: Path) -> list[Path]:
-    diagram = eigenlevels(two_electron_hamiltonian(cfg), cfg)
+    diagram = eigenlevels(cfg)
     path = out / "levels.csv"
     _write_csv(path,
                ["energy_meV", "character", "sz_total", "l1z", "degeneracy",

@@ -8,6 +8,8 @@ representation uses keys matching the field names; the complex Fano factor
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
@@ -15,6 +17,8 @@ from typing import Sequence
 from .constants import rashba_beta
 
 BETA_CONSISTENCY_RTOL = 1e-9
+#: Smallest accepted broadening, meV: below it Gamma^2 underflows.
+GAMMA_MIN = math.sqrt(sys.float_info.min)
 
 
 class Spin(Enum):
@@ -39,8 +43,7 @@ class Mode:
 
 @dataclass(frozen=True)
 class DeviceConfig:
-    eps0: float                 # ground-level energy, meV
-    eps1: float                 # excited-level energy, meV
+    eps1: float                 # excited level above the ground one, meV
     U_C: float                  # direct Coulomb energy, meV
     J: float                    # exchange strength, meV (signed)
     Gamma: float                # level broadening, meV (> 0)
@@ -52,8 +55,7 @@ class DeviceConfig:
     alpha_R: float | None = None  # Rashba constant, meV nm
     D: float | None = None      # dot diameter, nm
     q: complex = 0j             # Fano asymmetry factor
-    dot_spin: Spin = Spin.UP
-    wire_spin: Spin = Spin.UP   # fixed Up by convention
+    dot_spin: Spin = Spin.UP    # the wire is polarized Up
 
     @property
     def beta_value(self) -> float:
@@ -72,12 +74,14 @@ def validate(config: DeviceConfig) -> DeviceConfig:
     """
     errs: list[str] = []
 
-    if not config.Gamma > 0:
-        errs.append(f"Gamma: must be > 0 meV, got {config.Gamma}")
+    if not config.Gamma >= GAMMA_MIN:
+        errs.append(f"Gamma: must be >= {GAMMA_MIN:g} meV (its square must "
+                    f"not underflow), got {config.Gamma}")
     if config.temperature < 0:
         errs.append(f"temperature: must be >= 0 K, got {config.temperature}")
-    if config.wire_spin is not Spin.UP:
-        errs.append("wire_spin: fixed Up by convention")
+    if not (config.q.real == 0 and abs(config.q) <= 1):
+        errs.append(f"q: must have Re q = 0 and |q| <= 1 (else T > 1 "
+                    f"somewhere), got {config.q}")
 
     n_coupled = sum(1 for m in config.modes if m.coupled)
     if len(config.modes) == 0:
@@ -85,7 +89,7 @@ def validate(config: DeviceConfig) -> DeviceConfig:
     if n_coupled != 1:
         errs.append(f"modes: exactly one mode must be coupled, got {n_coupled}")
 
-    for name in ("eps0", "eps1", "U_C", "J", "Gamma", "mu_source", "V_sd",
+    for name in ("eps1", "U_C", "J", "Gamma", "mu_source", "V_sd",
                  "temperature"):
         v = getattr(config, name)
         if not _finite(v):
@@ -128,7 +132,6 @@ def _finite(x) -> bool:
 
 def to_dict(config: DeviceConfig) -> dict:
     d = {
-        "eps0": config.eps0,
         "eps1": config.eps1,
         "U_C": config.U_C,
         "J": config.J,
@@ -140,7 +143,6 @@ def to_dict(config: DeviceConfig) -> dict:
                   for m in config.modes],
         "q": [config.q.real, config.q.imag],
         "dot_spin": config.dot_spin.value,
-        "wire_spin": config.wire_spin.value,
     }
     if config.beta is not None:
         d["beta"] = config.beta
@@ -151,8 +153,8 @@ def to_dict(config: DeviceConfig) -> dict:
     return d
 
 
-_REQUIRED_NUMBERS = ("eps0", "eps1", "U_C", "J", "Gamma", "mu_source",
-                     "V_sd", "temperature")
+_REQUIRED_NUMBERS = ("eps1", "U_C", "J", "Gamma", "mu_source", "V_sd",
+                     "temperature")
 _OPTIONAL_NUMBERS = ("beta", "alpha_R", "D")
 
 
@@ -174,8 +176,7 @@ def from_dict(d: dict) -> DeviceConfig:
     if not isinstance(d, dict):
         raise ConfigError([f"config: expected a JSON object, got "
                            f"{type(d).__name__}"])
-    known = {*_REQUIRED_NUMBERS, *_OPTIONAL_NUMBERS, "modes", "q", "dot_spin",
-             "wire_spin"}
+    known = {*_REQUIRED_NUMBERS, *_OPTIONAL_NUMBERS, "modes", "q", "dot_spin"}
     unknown = set(d) - known
     if unknown:
         raise ConfigError([f"{k}: unknown key" for k in sorted(unknown)])
@@ -196,8 +197,7 @@ def from_dict(d: dict) -> DeviceConfig:
     fields = {k: parse(k, float)
               for k in _REQUIRED_NUMBERS + _OPTIONAL_NUMBERS}
     fields.update(modes=parse("modes", _modes), q=parse("q", _q, 0j),
-                  dot_spin=parse("dot_spin", Spin, Spin.UP),
-                  wire_spin=parse("wire_spin", Spin, Spin.UP))
+                  dot_spin=parse("dot_spin", Spin, Spin.UP))
     if errs:
         raise ConfigError(errs)
     return DeviceConfig(**fields)
@@ -250,7 +250,6 @@ def _set_path(d: dict, dotted: str, raw: str) -> None:
 def default_config() -> DeviceConfig:
     """Illustrative defaults; dot level positions are not measured values."""
     return validate(DeviceConfig(
-        eps0=0.0,
         eps1=8.0,
         U_C=2.0,
         J=5.0,

@@ -1,12 +1,23 @@
 """Two-electron dot spectrum under exchange and spin-orbit interaction.
 
-Basis: 8 product states |l1z, s0z, s1z> with l1z = +-1 (excited-orbital
-angular momentum projection) and s0z, s1z = +-1/2 (ground / excited electron
-spins).  Ordering is lexicographic in (l1z, s0z, s1z), minus first.
+H = (eps1 + U_C) - J S0.S1 + beta L1z S1z on the 8 product states
+|l1z, s0z, s1z> with l1z = +-1 (excited-orbital angular momentum
+projection) and s0z, s1z = +-1/2 (ground / excited electron spins).
 
-Energies below are measured relative to the one-electron ground
-configuration, i.e. the constant offset eps0 is dropped; a level energy is
-therefore directly the energy an incoming wire electron must supply.
+The spectrum is elementary and is taken in closed form.  Per l1z branch,
+with e = eps1 + U_C and r = sqrt(J^2 + beta^2)/2:
+
+- the stretched triplets |up,up> and |down,down> at (e - J/4) +- l1z beta/2;
+- the flip-flop pair at (e - J/4) + (J/2 -+ r), the lower member with
+  triplet probability 1/2 + J/(4r) and the upper with 1/2 - J/(4r).
+
+The sums are parenthesised as written so that at beta = 0 the flip-flop
+triplet equals the stretched one bit for bit, and the tunnelling target is
+exactly eps1 + U_C - J/4 - |beta|/2.  ``two_electron_hamiltonian`` builds
+the 8x8 matrix itself, as the reference the closed form is tested against.
+
+Energies are measured from the one-electron ground level: a level energy is
+directly the energy an incoming wire electron must supply.
 """
 
 from __future__ import annotations
@@ -14,14 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import CONSTANTS
-from .config import DeviceConfig, Spin
+from .config import DeviceConfig
 
 DEGENERACY_TOL = 1e-10          # meV, for grouping coincident levels
-CHARACTER_TIE_TOL = 1e-9        # squared-overlap tie -> Mixed
+CHARACTER_TIE_TOL = 1e-9        # triplet-probability tie -> Mixed
 
 BASIS = tuple(
     (l1z, s0z, s1z)
@@ -40,12 +52,11 @@ class Character(Enum):
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     matrix: np.ndarray                       # 8x8 real symmetric, meV
-    blocks: tuple[tuple[int, ...], ...]      # index groups (fixed l1z, Sz)
 
 
 @dataclass(frozen=True)
 class Level:
-    energy: float                # meV, relative to the eps0 reference
+    energy: float                # meV, relative to the ground level
     character: Character
     sz_total: float              # sum over degenerate members (0 if mixed)
     l1z: int                     # +-1, or 0 when a group spans both branches
@@ -60,7 +71,7 @@ class LevelDiagram:
 
 @dataclass(frozen=True)
 class ResonanceSpec:
-    energy: float                # meV, relative to the eps0 reference
+    energy: float                # meV, relative to the ground level
     Gamma: float                 # meV
     q: complex
 
@@ -96,73 +107,72 @@ def two_electron_hamiltonian(config: DeviceConfig) -> HamiltonianMatrix:
         if s0z != s1z:
             j = index[(l1z, s1z, s0z)]
             H[i, j] = -J / 2.0
-    blocks = []
-    for l1z in (-1, +1):
-        for sz in (-1.0, 0.0, 1.0):
-            grp = tuple(i for i, (l, s0, s1) in enumerate(BASIS)
-                        if l == l1z and s0 + s1 == sz)
-            blocks.append(grp)
-    return HamiltonianMatrix(matrix=H, blocks=tuple(blocks))
+    return HamiltonianMatrix(matrix=H)
 
 
-# singlet / triplet reference vectors within a flip-flop block,
-# ordered (|down,up>, |up,down>) per the basis ordering
-_TRIPLET0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
-_SINGLET0 = np.array([1.0, -1.0]) / math.sqrt(2.0)
+class _State(NamedTuple):
+    energy: float
+    character: Character
+    sz: float
+    l1z: int
+    up_up: bool
 
 
-def eigenlevels(H: HamiltonianMatrix, config: DeviceConfig) -> LevelDiagram:
-    """Diagonalize block-wise and assemble the labeled level diagram.
+def _states(e: float, J: float, beta: float) -> list[_State]:
+    """The 8 eigenstates of H with e = eps1 + U_C, in closed form.
 
-    Stretched states (|up,up>, |down,down>) are exact triplets.  Flip-flop
-    block eigenstates are labeled by their squared overlap with the
-    zero-spin-orbit singlet/triplet vectors: the dominant character wins;
-    an exact tie is labeled Mixed.  Levels coincident in energy within
-    1e-10 meV are merged; a merged level reports l1z = 0 when it spans both
-    orbital branches and sz_total as the sum over its members.
+    A flip-flop state is Mixed when its triplet probability 1/2 +- J/(4r)
+    is 1/2 within CHARACTER_TIE_TOL, or when r = 0 and any basis
+    diagonalises it.
     """
-    M = H.matrix
-    states = []  # (energy, character, sz, l1z, is_up_up)
-    for grp in H.blocks:
-        if len(grp) == 1:
-            i = grp[0]
-            l1z, s0z, s1z = BASIS[i]
-            states.append((float(M[i, i]), Character.TRIPLET, s0z + s1z, l1z,
-                           s0z > 0 and s1z > 0))
-        else:
-            sub = M[np.ix_(grp, grp)]
-            vals, vecs = np.linalg.eigh(sub)
-            l1z = BASIS[grp[0]][0]
-            for k in range(len(grp)):
-                v = vecs[:, k]
-                p_t = float(np.dot(_TRIPLET0, v) ** 2)
-                if p_t > 0.5 + CHARACTER_TIE_TOL:
-                    ch = Character.TRIPLET
-                elif p_t < 0.5 - CHARACTER_TIE_TOL:
-                    ch = Character.SINGLET
-                else:
-                    ch = Character.MIXED
-                states.append((float(vals[k]), ch, 0.0, l1z, False))
+    base = e - J / 4
+    r = math.hypot(J, beta) / 2
+    if r == 0 or abs(J / r) / 4 <= CHARACTER_TIE_TOL:
+        lower = upper = Character.MIXED
+    elif J > 0:
+        lower, upper = Character.TRIPLET, Character.SINGLET
+    else:
+        lower, upper = Character.SINGLET, Character.TRIPLET
+    states = []
+    for l1z in (-1, +1):
+        split = l1z * beta / 2
+        states += [_State(base + split, Character.TRIPLET, 1.0, l1z, True),
+                   _State(base - split, Character.TRIPLET, -1.0, l1z, False),
+                   _State(base + (J / 2 - r), lower, 0.0, l1z, False),
+                   _State(base + (J / 2 + r), upper, 0.0, l1z, False)]
+    return states
 
-    states.sort(key=lambda s: s[0])
-    groups: list[list] = []
+
+def eigenlevels(config: DeviceConfig) -> LevelDiagram:
+    """The labeled level diagram of the closed-form spectrum.
+
+    Levels coincident in energy within DEGENERACY_TOL are merged; a merged
+    level is Mixed when its members' characters differ, reports l1z = 0
+    when it spans both orbital branches and sz_total as the sum over its
+    members.  Its energy is that of its lowest spin-aligned (|up,up>)
+    member if it has one, else of its lowest member, so the tunnelling
+    target keeps its exact closed form.
+    """
+    states = sorted(_states(config.eps1 + config.U_C, config.J,
+                            config.beta_value), key=lambda s: s.energy)
+    groups: list[list[_State]] = []
     for s in states:
-        if groups and abs(s[0] - groups[-1][0][0]) <= DEGENERACY_TOL:
+        if groups and s.energy - groups[-1][0].energy <= DEGENERACY_TOL:
             groups[-1].append(s)
         else:
             groups.append([s])
 
     levels = []
     for grp in groups:
-        chars = {s[1] for s in grp}
-        l1zs = {s[3] for s in grp}
+        chars = {s.character for s in grp}
+        l1zs = {s.l1z for s in grp}
         levels.append(Level(
-            energy=grp[0][0],
+            energy=([s for s in grp if s.up_up] or grp)[0].energy,
             character=chars.pop() if len(chars) == 1 else Character.MIXED,
-            sz_total=sum(s[2] for s in grp),
+            sz_total=sum(s.sz for s in grp),
             l1z=l1zs.pop() if len(l1zs) == 1 else 0,
             degeneracy=len(grp),
-            parallel_accessible=any(s[4] for s in grp),
+            parallel_accessible=any(s.up_up for s in grp),
         ))
     return LevelDiagram(levels=tuple(levels))
 
@@ -212,6 +222,4 @@ def analytic_eigenvalues(J: float, beta: float) -> list[float]:
     {-J/4 + beta/2, -J/4 - beta/2, J/4 + r, J/4 - r} with
     r = sqrt(J^2 + beta^2)/2, each appearing once per l1z branch.
     """
-    r = math.sqrt(J * J + beta * beta) / 2.0
-    vals = [-J / 4 + beta / 2, -J / 4 - beta / 2, J / 4 + r, J / 4 - r]
-    return sorted(vals * 2)
+    return sorted(s.energy for s in _states(0.0, J, beta))

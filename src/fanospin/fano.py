@@ -14,16 +14,11 @@ shared by the mean reflection and the T = 0 current deficit.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 from .config import DeviceConfig, Mode, Spin
 from .dot_spectrum import ResonanceSpec
-
-
-class UnphysicalTransmissionWarning(UserWarning):
-    """A q outside Re q = 0, |q| <= 1 pushed the Fano transmission above 1."""
 
 
 class SpinOrientation(Enum):
@@ -57,7 +52,7 @@ def from_config(config: DeviceConfig, resonance: ResonanceSpec,
                 orientation: SpinOrientation | None = None) -> TransmissionModel:
     if orientation is None:
         orientation = (SpinOrientation.PARALLEL
-                       if config.dot_spin is config.wire_spin
+                       if config.dot_spin is Spin.UP
                        else SpinOrientation.ANTIPARALLEL)
     return TransmissionModel(resonance=resonance, orientation=orientation,
                              modes=tuple(config.modes))
@@ -69,17 +64,11 @@ def fano_transmission(detuning: float, Gamma: float, q: complex) -> float:
     Its supremum over eps is the largest eigenvalue of [[1, Re q],
     [Re q, |q|^2]], so T <= 1 only for Re q = 0 and |q| <= 1.  Any other q
     (any real q != 0 too) exceeds 1 somewhere, which is unphysical for a
-    two-terminal wire and triggers an UnphysicalTransmissionWarning.
+    two-terminal wire; ``config.validate`` accepts no such q.
     """
     if not Gamma > 0:
         raise ValueError(f"Gamma must be > 0, got {Gamma}")
-    t = abs(detuning + q * Gamma) ** 2 / (detuning**2 + Gamma**2)
-    if t > 1.0:
-        warnings.warn(
-            f"Fano transmission {t:.6g} > 1 for q = {q} "
-            f"(T <= 1 needs Re q = 0 and |q| <= 1)",
-            UnphysicalTransmissionWarning, stacklevel=2)
-    return t
+    return abs(detuning + q * Gamma) ** 2 / (detuning**2 + Gamma**2)
 
 
 def spin_channel_reflection(E: float, model: TransmissionModel) -> float:

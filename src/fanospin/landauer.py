@@ -30,8 +30,7 @@ import numpy as np
 
 from .constants import CONSTANTS, CURRENT_PER_MEV, thermal_energy
 from .config import DeviceConfig
-from .dot_spectrum import (ResonanceSpec, eigenlevels, target_level,
-                           two_electron_hamiltonian)
+from .dot_spectrum import ResonanceSpec, eigenlevels, target_level
 from .fano import TransmissionModel, dip_integral, from_config, \
     total_transmission
 
@@ -217,8 +216,7 @@ def optimal_bias(Gamma: float) -> float:
 
 def model_from_config(config: DeviceConfig,
                       orientation=None) -> TransmissionModel:
-    resonance = target_level(
-        eigenlevels(two_electron_hamiltonian(config), config), config)
+    resonance = target_level(eigenlevels(config), config)
     return from_config(config, resonance, orientation)
 
 
@@ -226,7 +224,9 @@ def iv_curve(config: DeviceConfig, V_grid) -> IVCurve:
     """Current and centered-difference differential conductance on a bias
     grid.  The bias window is split symmetrically about mu_source:
     mu_s/d = mu_source +- V/2, which makes I(-V) = -I(V) for any
-    bias-independent transmission."""
+    bias-independent transmission.  On a one-point grid G_diff is the exact
+    dI/dV = [G(mu_s) + G(mu_d)] / 2, G the linear conductance at each
+    chemical potential."""
     V_grid = list(V_grid)
     if not V_grid:
         raise ValueError("bias grid must be nonempty")
@@ -241,7 +241,9 @@ def iv_curve(config: DeviceConfig, V_grid) -> IVCurve:
         G = np.gradient(np.asarray(currents),
                         np.asarray(V_grid, dtype=float) * 1e-3)
     else:
-        G = [linear_conductance(model, T, mu0)]
+        V = V_grid[0]
+        G = [0.5 * (linear_conductance(model, T, mu0 + V / 2)
+                    + linear_conductance(model, T, mu0 - V / 2))]
     return IVCurve(points=tuple(
         IVPoint(V_sd=float(v), I=float(i), G_diff=float(g))
         for v, i, g in zip(V_grid, currents, G)))

@@ -19,11 +19,11 @@ quartic, so the oracle needs no optimiser and no bracketing search.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import GAMMA_MIN
 from .fano import fano_transmission
 
 
@@ -125,7 +125,7 @@ def effective_broadening(lattice: OracleLattice) -> float:
             w -= np.polyval(quartic, w) / np.polyval(slope, w)
         widths.append(tp * (tp / t) / abs(float(w)))
     gamma = 0.5 * (widths[0] + widths[1])
-    if gamma < math.sqrt(sys.float_info.min):
+    if gamma < GAMMA_MIN:
         raise ExtractionError(
             f"Gamma_eff = {gamma:g} meV at tp/t = {tp / t:g} is too narrow: "
             f"its square underflows")

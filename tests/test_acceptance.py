@@ -28,7 +28,7 @@ G0 = CONSTANTS.G0_spin_polarized
 
 
 def make_config(**kw):
-    base = dict(eps0=0.0, eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0,
+    base = dict(eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0,
                 mu_source=7.25, V_sd=1.0, temperature=0.0,
                 modes=(Mode(0.0, coupled=True),))
     base.update(kw)

@@ -52,19 +52,51 @@ def test_validation_failure_exits_1_naming_key(tmp_path):
     assert "Gamma" in proc.stderr
 
 
-@pytest.mark.parametrize("override, key", [
-    ("modes.5.bottom_energy=1", "modes.5.bottom_energy"),
-    ("q=[1]", "q"),
-    ("J.x=1", "J.x"),
-    ("J=1" + "0" * 400, "J"),
-    ("modes=5", "modes"),
+@pytest.mark.parametrize("command, override, key", [
+    ("levels", "modes.5.bottom_energy=1", "modes.5.bottom_energy"),
+    ("levels", "q=[1]", "q"),
+    ("levels", "J.x=1", "J.x"),
+    ("levels", "J=1" + "0" * 400, "J"),
+    ("levels", "modes=5", "modes"),
+    ("sweep", "Gamma=1e-200", "Gamma"),
+    ("readout", "Gamma=1e-200", "Gamma"),
 ], ids=["mode-index-out-of-range", "q-one-component", "J-not-an-object",
-        "J-overflows-float", "modes-not-a-list"])
-def test_malformed_override_exits_1_naming_key(tmp_path, override, key):
-    proc = run_cli(["levels", "--set", override, "--out", str(tmp_path)])
+        "J-overflows-float", "modes-not-a-list", "Gamma-underflows-sweep",
+        "Gamma-underflows-readout"])
+def test_malformed_override_exits_1_naming_key(tmp_path, command, override,
+                                               key):
+    proc = run_cli([command, "--set", override, "--out", str(tmp_path)])
     assert proc.returncode == 1
     assert key in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_unphysical_q_exits_1_naming_q(tmp_path, capsys):
+    # q = 1 gives T = 2 at eps = Gamma; |q| = 2 gives T = 4 at resonance
+    for command, q in (("sweep", "[1,0]"), ("iv", "[0,2]")):
+        out = tmp_path / command
+        rc = main([command, "--set", f"q={q}", "--out", str(out)])
+        assert rc == 1
+        assert "q: must have Re q = 0 and |q| <= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_removed_config_field_exits_1_naming_key(tmp_path, capsys):
+    for override in ("eps0=1", "wire_spin=Up"):
+        rc = main(["levels", "--set", override, "--out", str(tmp_path)])
+        assert rc == 1
+        key = override.split("=")[0]
+        assert f"{key}: unknown key" in capsys.readouterr().err
+
+
+def test_iv_one_point_grid_gives_differential_conductance(tmp_path):
+    # at 4 K the linear conductance (7.58e-6 S) is not dI/dV at 1 mV
+    rc = main(["iv", "--grid", "1:1:1", "--set", "temperature=4",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    header, row = (tmp_path / "iv.csv").read_text().strip().split("\n")
+    g = float(dict(zip(header.split(","), row.split(",")))["G_S_parallel"])
+    assert g == pytest.approx(1.0875181e-5, rel=1e-7)
 
 
 def test_levels_csv_matches_analytic_eigenvalues(tmp_path, config_file):

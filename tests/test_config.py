@@ -1,15 +1,16 @@
 import dataclasses
+import math
 
 import pytest
 
-from fanospin.config import (ConfigError, DeviceConfig, Mode, Spin,
+from fanospin.config import (GAMMA_MIN, ConfigError, DeviceConfig, Mode,
                              apply_overrides, default_config, dumps, loads,
                              to_dict, validate)
 
 
 def make_raw(**overrides):
     base = dict(
-        eps0=0.0, eps1=8.0, U_C=2.0, J=1.0, beta=0.5, Gamma=1.0,
+        eps1=8.0, U_C=2.0, J=1.0, beta=0.5, Gamma=1.0,
         mu_source=9.75, V_sd=1.0, temperature=0.0,
         modes=(Mode(0.0, coupled=True),),
     )
@@ -69,7 +70,7 @@ def test_all_violations_reported_together():
 
 
 def test_json_round_trip_bit_exact():
-    cfg = validate(make_raw(q=0.25 + 0.125j, temperature=0.30000000000000004))
+    cfg = validate(make_raw(q=-0.3j, temperature=0.30000000000000004))
     again = loads(dumps(cfg))
     assert again == cfg
 
@@ -94,11 +95,23 @@ def test_override_nested_mode():
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown"):
-        loads('{"bogus": 1, "eps0": 0, "eps1": 8, "U_C": 2, "J": 1,'
+        loads('{"bogus": 1, "eps1": 8, "U_C": 2, "J": 1,'
               '"Gamma": 1, "mu_source": 9, "V_sd": 1, "temperature": 0,'
               '"beta": 0.5, "modes": [{"bottom_energy": 0, "coupled": true}]}')
 
 
-def test_wire_spin_fixed_up():
-    with pytest.raises(ConfigError, match="wire_spin"):
-        validate(make_raw(wire_spin=Spin.DOWN))
+@pytest.mark.parametrize("q", [1 + 0j, 0.1 + 0.5j, 1.5j, complex(0, math.nan)])
+def test_unphysical_q_rejected(q):
+    with pytest.raises(ConfigError, match="q:"):
+        validate(make_raw(q=q))
+
+
+def test_q_on_physical_boundary_accepted():
+    for q in (1j, -1j, 0j):
+        assert validate(make_raw(q=q)).q == q
+
+
+def test_gamma_whose_square_underflows_rejected():
+    assert validate(make_raw(Gamma=GAMMA_MIN)).Gamma == GAMMA_MIN
+    with pytest.raises(ConfigError, match="Gamma"):
+        validate(make_raw(Gamma=1e-200))

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanospin.config import DeviceConfig, Mode, validate
-from fanospin.dot_spectrum import (BASIS, Character, analytic_eigenvalues,
+from fanospin.dot_spectrum import (BASIS, CHARACTER_TIE_TOL, DEGENERACY_TOL,
+                                   Character, analytic_eigenvalues,
                                    eigenlevels, levels_distinguishable,
                                    spin_flip_blocked, spin_flip_time,
                                    target_level, two_electron_hamiltonian)
@@ -15,7 +16,7 @@ jb = st.floats(min_value=-20, max_value=20, allow_nan=False)
 
 def make_config(J=1.0, beta=0.0, eps1=8.0, U_C=2.0, Gamma=1.0):
     return validate(DeviceConfig(
-        eps0=0.0, eps1=eps1, U_C=U_C, J=J, beta=beta, Gamma=Gamma,
+        eps1=eps1, U_C=U_C, J=J, beta=beta, Gamma=Gamma,
         mu_source=9.75, V_sd=1.0, temperature=0.0,
         modes=(Mode(0.0, coupled=True),)))
 
@@ -84,7 +85,7 @@ def test_spectrum_invariant_under_beta_sign_flip(J, beta):
 
 def test_singlet_triplet_gap_equals_J_at_zero_beta():
     cfg = make_config(J=1.0, beta=0.0)
-    diagram = eigenlevels(two_electron_hamiltonian(cfg), cfg)
+    diagram = eigenlevels(cfg)
     assert len(diagram.levels) == 2
     triplet, singlet = diagram.levels
     assert triplet.character is Character.TRIPLET
@@ -98,14 +99,14 @@ def test_singlet_triplet_gap_equals_J_at_zero_beta():
 
 def test_fully_degenerate_case():
     cfg = make_config(J=0.0, beta=0.0)
-    diagram = eigenlevels(two_electron_hamiltonian(cfg), cfg)
+    diagram = eigenlevels(cfg)
     assert len(diagram.levels) == 1
     assert diagram.levels[0].degeneracy == 8
 
 
 def test_spin_orbit_splits_stretched_levels():
     cfg = make_config(J=1.0, beta=0.5)
-    diagram = eigenlevels(two_electron_hamiltonian(cfg), cfg)
+    diagram = eigenlevels(cfg)
     energies = sorted(lv.energy for lv in diagram.levels)
     # stretched: -0.25 +- 0.25; mixed block: 0.25 +- sqrt(1.25)/2, about 10
     expected = sorted([10 - 0.5, 10.0, 10 + 0.25 - math.sqrt(1.25) / 2,
@@ -115,7 +116,7 @@ def test_spin_orbit_splits_stretched_levels():
 
 def test_parallel_accessible_marks_stretched_up_up():
     cfg = make_config(J=1.0, beta=0.5)
-    diagram = eigenlevels(two_electron_hamiltonian(cfg), cfg)
+    diagram = eigenlevels(cfg)
     accessible = [lv for lv in diagram.levels if lv.parallel_accessible]
     assert [lv.energy for lv in accessible] == pytest.approx(
         [10 - 0.5, 10.0], abs=1e-12)
@@ -123,20 +124,81 @@ def test_parallel_accessible_marks_stretched_up_up():
 
 def test_target_level_examples():
     cfg = make_config(J=1.0, beta=0.0)
-    res = target_level(eigenlevels(two_electron_hamiltonian(cfg), cfg), cfg)
+    res = target_level(eigenlevels(cfg), cfg)
     assert res.energy == pytest.approx(9.75, abs=1e-12)
     assert res.Gamma == cfg.Gamma
 
     cfg0 = make_config(J=0.0, beta=0.0)
-    res0 = target_level(
-        eigenlevels(two_electron_hamiltonian(cfg0), cfg0), cfg0)
+    res0 = target_level(eigenlevels(cfg0), cfg0)
     assert res0.energy == pytest.approx(10.0, abs=1e-12)
 
     cfg_so = make_config(J=1.0, beta=0.5)
-    res_so = target_level(
-        eigenlevels(two_electron_hamiltonian(cfg_so), cfg_so), cfg_so)
+    res_so = target_level(eigenlevels(cfg_so), cfg_so)
     # lower spin-orbit branch of the |up,up> doublet
     assert res_so.energy == pytest.approx(10 - 0.25 - 0.25, abs=1e-12)
+
+
+def reference_levels(cfg):
+    """The level table from eigh of the 8x8 Hamiltonian, block by block
+    (fixed l1z and Sz).  Flip-flop states are labelled by their squared
+    overlap with the beta = 0 triplet (|down,up> + |up,down>)/sqrt(2);
+    levels within DEGENERACY_TOL of a group's lowest member are merged."""
+    M = two_electron_hamiltonian(cfg).matrix
+    states = []     # (energy, character, sz, l1z, up_up)
+    for l1z in (-1, +1):
+        for sz in (-1.0, 0.0, 1.0):
+            idx = [i for i, (l, s0, s1) in enumerate(BASIS)
+                   if l == l1z and s0 + s1 == sz]
+            vals, vecs = np.linalg.eigh(M[np.ix_(idx, idx)])
+            for k, E in enumerate(vals):
+                v = vecs[:, k]
+                p_t = 1.0 if len(idx) == 1 else (v[0] + v[1]) ** 2 / 2
+                ch = (Character.TRIPLET if p_t > 0.5 + CHARACTER_TIE_TOL
+                      else Character.SINGLET if p_t < 0.5 - CHARACTER_TIE_TOL
+                      else Character.MIXED)
+                states.append((float(E), ch, sz, l1z, sz == 1.0))
+    states.sort(key=lambda s: s[0])
+    groups = []
+    for s in states:
+        if groups and s[0] - groups[-1][0][0] <= DEGENERACY_TOL:
+            groups[-1].append(s)
+        else:
+            groups.append([s])
+    return [(([s for s in g if s[4]] or g)[0][0],
+             {s[1] for s in g}.pop() if len({s[1] for s in g}) == 1
+             else Character.MIXED,
+             sum(s[2] for s in g),
+             {s[3] for s in g}.pop() if len({s[3] for s in g}) == 1 else 0,
+             len(g), any(s[4] for s in g)) for g in groups]
+
+
+@given(J=jb, beta=jb)
+@example(J=0.0, beta=0.0)
+@example(J=0.0, beta=1.5)
+@example(J=2.0, beta=0.0)
+@example(J=-2.0, beta=0.0)
+@example(J=3e-9, beta=1.0)       # triplet probability 1/2 + 1.5e-9
+@example(J=1.5e-9, beta=1.0)     # 1/2 + 7.5e-10: a tie, Mixed
+@example(J=-1e-11, beta=1.0)     # singlet-like level 5e-12 below |up,up>
+@settings(max_examples=200)
+def test_closed_form_levels_match_numerical_reference(J, beta):
+    cfg = make_config(J=J, beta=beta)
+    got = eigenlevels(cfg).levels
+    ref = reference_levels(cfg)
+    assert len(got) == len(ref)
+    for lv, (energy, ch, sz, l1z, deg, par) in zip(got, ref):
+        assert lv.energy == pytest.approx(energy, abs=1e-12)
+        assert (lv.character, lv.sz_total, lv.l1z, lv.degeneracy,
+                lv.parallel_accessible) == (ch, sz, l1z, deg, par)
+
+
+@given(J=jb, beta=jb)
+@example(J=3.5857010553175597, beta=0.0)
+@example(J=-1e-11, beta=1.0)
+def test_resonance_is_exact_closed_form(J, beta):
+    cfg = make_config(J=J, beta=beta)
+    res = target_level(eigenlevels(cfg), cfg)
+    assert res.energy == cfg.eps1 + cfg.U_C - J / 4 - abs(beta) / 2
 
 
 def test_spin_flip_blocked_thresholds():

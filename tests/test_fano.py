@@ -7,8 +7,7 @@ from scipy.integrate import quad
 
 from fanospin.config import Mode
 from fanospin.dot_spectrum import ResonanceSpec
-from fanospin.fano import (SpinOrientation, TransmissionModel,
-                           UnphysicalTransmissionWarning, dip_integral,
+from fanospin.fano import (SpinOrientation, TransmissionModel, dip_integral,
                            fano_transmission, mean_reflection,
                            mode_transmission, spin_channel_reflection)
 
@@ -38,15 +37,6 @@ def test_gamma_must_be_positive():
         fano_transmission(0.0, 0.0, 0j)
     with pytest.raises(ValueError):
         fano_transmission(0.0, -1.0, 0j)
-
-
-def test_unphysical_transmission_warned():
-    with pytest.warns(UnphysicalTransmissionWarning):
-        t = fano_transmission(1.0, 1.0, 2j)
-    assert t > 1.0
-    # any real q != 0 exceeds 1 on one side of the resonance
-    with pytest.warns(UnphysicalTransmissionWarning, match="Re q = 0"):
-        assert fano_transmission(1.0, 1.0, 0.5 + 0j) > 1.0
 
 
 @given(detuning=energies, Gamma=gammas)

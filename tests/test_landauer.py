@@ -127,7 +127,7 @@ def test_conductance_below_float_resolution_is_a_step():
 
 def test_current_antisymmetry():
     cfg = validate(DeviceConfig(
-        eps0=0.0, eps1=8.0, U_C=2.0, J=1.0, beta=0.5, Gamma=0.5,
+        eps1=8.0, U_C=2.0, J=1.0, beta=0.5, Gamma=0.5,
         mu_source=9.5, V_sd=1.0, temperature=10.0,
         modes=(Mode(0.0, coupled=True),)))
     grid = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
@@ -140,7 +140,7 @@ def test_current_antisymmetry():
 
 def test_iv_curve_single_zero_point():
     cfg = validate(DeviceConfig(
-        eps0=0.0, eps1=8.0, U_C=2.0, J=1.0, beta=0.0, Gamma=1.0,
+        eps1=8.0, U_C=2.0, J=1.0, beta=0.0, Gamma=1.0,
         mu_source=5.0, V_sd=0.0, temperature=0.0,
         modes=(Mode(0.0, coupled=True),)))
     curve = iv_curve(cfg, [0.0])
@@ -151,9 +151,22 @@ def test_iv_curve_single_zero_point():
     assert pt.G_diff == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("T", [0.0, 4.0, 40.0])
+def test_iv_curve_single_point_is_exact_derivative(T):
+    cfg = validate(DeviceConfig(
+        eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0,
+        mu_source=7.25, V_sd=1.0, temperature=T,
+        modes=(Mode(0.0, coupled=True), Mode(7.6, coupled=False))))
+    (pt,) = iv_curve(cfg, [1.0]).points
+    h = 1e-4
+    lo, hi = iv_curve(cfg, [1.0 - h, 1.0 + h]).points
+    assert pt.G_diff == pytest.approx((hi.I - lo.I) / (2 * h * 1e-3),
+                                      rel=1e-7)
+
+
 def test_iv_curve_rejects_bad_grid():
     cfg = validate(DeviceConfig(
-        eps0=0.0, eps1=8.0, U_C=2.0, J=1.0, beta=0.0, Gamma=1.0,
+        eps1=8.0, U_C=2.0, J=1.0, beta=0.0, Gamma=1.0,
         mu_source=5.0, V_sd=0.0, temperature=0.0,
         modes=(Mode(0.0, coupled=True),)))
     with pytest.raises(ValueError):
@@ -165,7 +178,7 @@ def test_iv_curve_rejects_bad_grid():
 def test_iv_dip_in_differential_conductance():
     # resonance 0.4 meV above mu: the dip shows when mu_s crosses it
     cfg = validate(DeviceConfig(
-        eps0=0.0, eps1=9.35, U_C=0.0, J=0.4, beta=0.0, Gamma=0.05,
+        eps1=9.35, U_C=0.0, J=0.4, beta=0.0, Gamma=0.05,
         mu_source=8.85, V_sd=0.0, temperature=0.0,
         modes=(Mode(0.0, coupled=True),)))
     grid = list(np.linspace(0.0, 2.0, 201))

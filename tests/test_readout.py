@@ -10,7 +10,7 @@ from fanospin.readout import (Arrangement, ScalingModel, n_qubit_reflection,
 
 def make_config(J=5.0, beta=3.0, Gamma=1.0, mu=7.25, V=1.0, T=0.0):
     return validate(DeviceConfig(
-        eps0=0.0, eps1=8.0, U_C=2.0, J=J, beta=beta, Gamma=Gamma,
+        eps1=8.0, U_C=2.0, J=J, beta=beta, Gamma=Gamma,
         mu_source=mu, V_sd=V, temperature=T,
         modes=(Mode(0.0, coupled=True),)))
 
