@@ -15,8 +15,8 @@ from .fano import (SpinOrientation, TransmissionModel, fano_transmission,
                    mean_reflection, mode_transmission,
                    spin_channel_reflection, total_transmission)
 from .landauer import (BiasPoint, IVCurve, current, current_components,
-                       fermi, iv_curve, linear_conductance, model_from_config,
-                       optimal_bias)
+                       fermi, iv_curve, iv_curves, linear_conductance,
+                       model_from_config, optimal_bias)
 from .lattice_oracle import (BandEdgeError, ExtractionError, OracleLattice,
                              compare_to_fano, effective_broadening,
                              oracle_transmission)

@@ -22,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, DeviceConfig, Spin, apply_overrides,
+from .config import (ConfigError, DeviceConfig, apply_overrides,
                      default_config, dumps, load_file, validate)
 from .dot_spectrum import eigenlevels
 from .fano import SpinOrientation, mode_transmission
-from .landauer import iv_curve, model_from_config
+from .landauer import iv_curves, model_from_config
 from .lattice_oracle import (BandEdgeError, ExtractionError, OracleLattice,
                              compare_to_fano)
 from .readout import nondemolition_summary, readout_report
@@ -111,19 +111,16 @@ def _run_sweep(cfg: DeviceConfig, args, out: Path) -> list[Path]:
         header += [f"T_parallel_mode{i}", f"T_antiparallel_mode{i}",
                    f"R_parallel_mode{i}", f"R_antiparallel_mode{i}"]
     header += ["T_parallel", "T_antiparallel", "R_parallel", "R_antiparallel"]
-    rows = []
-    for E in grid:
-        row = [float(E)]
-        tp_sum = ta_sum = rp_sum = ra_sum = 0.0
-        for i, m in enumerate(cfg.modes):
-            tp = mode_transmission(E, model_par, i)
-            ta = mode_transmission(E, model_anti, i)
-            rp = 1.0 - tp if E >= m.bottom_energy else 0.0
-            ra = 1.0 - ta if E >= m.bottom_energy else 0.0
-            row += [tp, ta, rp, ra]
-            tp_sum += tp; ta_sum += ta; rp_sum += rp; ra_sum += ra
-        row += [tp_sum, ta_sum, rp_sum, ra_sum]
-        rows.append(row)
+    columns = [grid]
+    totals = [0.0] * 4
+    for i, m in enumerate(cfg.modes):
+        tp = mode_transmission(grid, model_par, i)
+        ta = mode_transmission(grid, model_anti, i)
+        is_open = grid >= m.bottom_energy
+        mode_columns = [tp, ta, is_open * (1.0 - tp), is_open * (1.0 - ta)]
+        columns += mode_columns
+        totals = [s + c for s, c in zip(totals, mode_columns)]
+    rows = np.column_stack(columns + totals).tolist()
     path = out / "sweep.csv"
     _write_csv(path, header, rows)
     return [path]
@@ -134,8 +131,7 @@ def _run_iv(cfg: DeviceConfig, args, out: Path) -> list[Path]:
         grid = _parse_grid(args.grid)
     else:
         grid = np.linspace(-2 * cfg.Gamma, 2 * cfg.Gamma, 81)
-    curve_par = iv_curve(replace(cfg, dot_spin=Spin.UP), grid)
-    curve_anti = iv_curve(replace(cfg, dot_spin=Spin.DOWN), grid)
+    curve_par, curve_anti = iv_curves(cfg, grid)
     path = out / "iv.csv"
     _write_csv(path,
                ["V_mV", "I_A_parallel", "I_A_antiparallel",
@@ -185,8 +181,8 @@ def _run_oracle(cfg: DeviceConfig, args, out: Path) -> list[Path]:
     path = out / "oracle.csv"
     _write_csv(path,
                ["E_meV", "T_oracle", "T_fano", "abs_deviation"],
-               [(float(e), float(o), float(f), float(abs(o - f)))
-                for e, o, f in zip(grid, t_oracle, t_fano)],
+               np.column_stack((grid, t_oracle, t_fano,
+                                np.abs(t_oracle - t_fano))).tolist(),
                comment=f"Gamma_eff_meV={gamma!r} max_abs_deviation={dev!r}")
     return [path]
 

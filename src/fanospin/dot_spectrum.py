@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import CONSTANTS
-from .config import DeviceConfig
+from .config import ConfigError, DeviceConfig
 
 DEGENERACY_TOL = 1e-10          # meV, for grouping coincident levels
 CHARACTER_TIE_TOL = 1e-9        # triplet-probability tie -> Mixed
@@ -179,13 +179,19 @@ def eigenlevels(config: DeviceConfig) -> LevelDiagram:
 
 def target_level(diagram: LevelDiagram, config: DeviceConfig) -> ResonanceSpec:
     """Resonance the wire electron tunnels to: the spin-aligned stretched
-    triplet, lower spin-orbit branch when the two branches split."""
+    triplet, lower spin-orbit branch when the two branches split.
+
+    Raises ConfigError naming Gamma when E_res +- Gamma rounds to E_res:
+    such a dip is narrower than floating point can resolve at E_res."""
     candidates = [lv for lv in diagram.levels if lv.parallel_accessible]
     if not candidates:
         raise RuntimeError("level diagram has no spin-aligned level")
-    lowest = min(candidates, key=lambda lv: lv.energy)
-    return ResonanceSpec(energy=lowest.energy, Gamma=config.Gamma,
-                         q=config.q)
+    E_res = min(candidates, key=lambda lv: lv.energy).energy
+    G = config.Gamma
+    if E_res - G == E_res or E_res + G == E_res:
+        raise ConfigError([f"Gamma: {G} meV is below the float spacing at "
+                           f"the resonance E_res = {E_res} meV"])
+    return ResonanceSpec(energy=E_res, Gamma=G, q=config.q)
 
 
 def spin_flip_blocked(config: DeviceConfig,

@@ -2,10 +2,15 @@
 weighting, multi-mode composition, and windowed mean reflection.
 
 The dot-coupled channel carries a Fano dip T = |eps + q*Gamma|^2 /
-(eps^2 + Gamma^2).  When the dot spin is antiparallel to the wire
-polarization only the S=1 component of the incoming two-spin state (weight
-1/2) can scatter off the resonance, so the reflection is half the parallel
-one at every energy.
+(eps^2 + Gamma^2), computed in real arithmetic as ((eps + Re q Gamma)^2 +
+(Im q Gamma)^2) / (eps^2 + Gamma^2).  When the dot spin is antiparallel to
+the wire polarization only the S=1 component of the incoming two-spin state
+(weight 1/2) can scatter off the resonance, so the reflection is half the
+parallel one at every energy.
+
+``fano_transmission``, ``spin_channel_reflection``, ``mode_transmission``
+and ``total_transmission`` take a float or a numpy array of energies; with
+only + - * / on reals, both give the same result bit for bit.
 
 The dip area over a sharp window is the closed form ``dip_integral``,
 shared by the mean reflection and the T = 0 current deficit.
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .config import DeviceConfig, Mode, Spin
 from .dot_spectrum import ResonanceSpec
@@ -39,7 +45,7 @@ class TransmissionModel:
     orientation: SpinOrientation
     modes: tuple[Mode, ...]
 
-    @property
+    @cached_property
     def weight(self) -> float:
         return CHANNEL_WEIGHT[self.orientation]
 
@@ -58,8 +64,12 @@ def from_config(config: DeviceConfig, resonance: ResonanceSpec,
                              modes=tuple(config.modes))
 
 
-def fano_transmission(detuning: float, Gamma: float, q: complex) -> float:
-    """T = |eps + q Gamma|^2 / (eps^2 + Gamma^2).
+def fano_transmission(detuning, Gamma: float, q: complex):
+    """T = |eps + q Gamma|^2 / (eps^2 + Gamma^2), as
+    ((eps + Re q Gamma)^2 + (Im q Gamma)^2) / (eps^2 + Gamma^2).
+
+    ``detuning`` is a float or an array.  Only + - * / on reals, so a
+    scalar and an array call agree bit for bit.
 
     Its supremum over eps is the largest eigenvalue of [[1, Re q],
     [Re q, |q|^2]], so T <= 1 only for Re q = 0 and |q| <= 1.  Any other q
@@ -68,32 +78,39 @@ def fano_transmission(detuning: float, Gamma: float, q: complex) -> float:
     """
     if not Gamma > 0:
         raise ValueError(f"Gamma must be > 0, got {Gamma}")
-    return abs(detuning + q * Gamma) ** 2 / (detuning**2 + Gamma**2)
+    a = detuning + q.real * Gamma
+    b = q.imag * Gamma
+    return (a * a + b * b) / (detuning * detuning + Gamma * Gamma)
 
 
-def spin_channel_reflection(E: float, model: TransmissionModel) -> float:
-    """R(E) = w * (1 - T_fano(E - E_res)); w = 1 parallel, 1/2 antiparallel."""
+def spin_channel_reflection(E, model: TransmissionModel):
+    """R(E) = w * (1 - T_fano(E - E_res)); w = 1 parallel, 1/2 antiparallel.
+    E is a float or an array."""
     res = model.resonance
     t = fano_transmission(E - res.energy, res.Gamma, res.q)
     return model.weight * (1.0 - t)
 
 
-def mode_transmission(E: float, model: TransmissionModel,
-                      mode_index: int) -> float:
-    """Per-mode transmission: 0 below the subband bottom; ballistic (1) for
-    uncoupled modes; the dot-coupled mode carries the Fano dip."""
+def mode_transmission(E, model: TransmissionModel, mode_index: int):
+    """Per-mode transmission at a float or an array of energies: 0 below
+    the subband bottom; ballistic (1) for uncoupled modes; the dot-coupled
+    mode carries the Fano dip."""
     if not 0 <= mode_index < len(model.modes):
         raise IndexError(f"mode index {mode_index} out of range")
     mode = model.modes[mode_index]
-    if E < mode.bottom_energy:
-        return 0.0
-    if not mode.coupled:
-        return 1.0
-    return 1.0 - spin_channel_reflection(E, model)
+    t = 1.0 - spin_channel_reflection(E, model) if mode.coupled else 1.0
+    return (E >= mode.bottom_energy) * t
 
 
-def total_transmission(E: float, model: TransmissionModel) -> float:
-    return sum(mode_transmission(E, model, i) for i in range(len(model.modes)))
+def total_transmission(E, model: TransmissionModel):
+    """Sum of ``mode_transmission`` over the modes, in one pass, at a float
+    or an array of energies (bit for bit the per-mode sum)."""
+    coupled = 1.0 - spin_channel_reflection(E, model)
+    total = 0.0
+    for mode in model.modes:
+        total = total + (E >= mode.bottom_energy) * (
+            coupled if mode.coupled else 1.0)
+    return total
 
 
 def dip_integral(resonance: ResonanceSpec, lo: float, hi: float) -> float:

@@ -24,15 +24,15 @@ case with a sharp integration window, not a small-T limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import CONSTANTS, CURRENT_PER_MEV, thermal_energy
 from .config import DeviceConfig
 from .dot_spectrum import ResonanceSpec, eigenlevels, target_level
-from .fano import TransmissionModel, dip_integral, from_config, \
-    total_transmission
+from .fano import (CHANNEL_WEIGHT, SpinOrientation, TransmissionModel,
+                   dip_integral, from_config, total_transmission)
 
 #: The Fermi tails beyond this many kT from every chemical potential weigh
 #: e^-40 ~ 4e-18 of the bias window and are left out.
@@ -220,6 +220,38 @@ def model_from_config(config: DeviceConfig,
     return from_config(config, resonance, orientation)
 
 
+def _bias_grid(V_grid) -> list:
+    V_grid = list(V_grid)
+    if not V_grid:
+        raise ValueError("bias grid must be nonempty")
+    if any(b <= a for a, b in zip(V_grid, V_grid[1:])):
+        raise ValueError("bias grid must be strictly increasing")
+    return V_grid
+
+
+def _bias(config: DeviceConfig, V: float) -> BiasPoint:
+    mu0 = config.mu_source
+    return BiasPoint(mu0 + V / 2, mu0 - V / 2, config.temperature)
+
+
+def _curve(model: TransmissionModel, config: DeviceConfig, V_grid,
+           currents) -> IVCurve:
+    """IVCurve with the centered-difference G_diff of ``currents``, or on a
+    one-point grid the exact dI/dV = [G(mu_s) + G(mu_d)] / 2."""
+    if len(V_grid) >= 2:
+        G = np.gradient(np.asarray(currents),
+                        np.asarray(V_grid, dtype=float) * 1e-3)
+    else:
+        bias = _bias(config, V_grid[0])
+        G = [0.5 * (linear_conductance(model, bias.temperature,
+                                       bias.mu_source)
+                    + linear_conductance(model, bias.temperature,
+                                         bias.mu_drain))]
+    return IVCurve(points=tuple(
+        IVPoint(V_sd=float(v), I=float(i), G_diff=float(g))
+        for v, i, g in zip(V_grid, currents, G)))
+
+
 def iv_curve(config: DeviceConfig, V_grid) -> IVCurve:
     """Current and centered-difference differential conductance on a bias
     grid.  The bias window is split symmetrically about mu_source:
@@ -227,23 +259,24 @@ def iv_curve(config: DeviceConfig, V_grid) -> IVCurve:
     bias-independent transmission.  On a one-point grid G_diff is the exact
     dI/dV = [G(mu_s) + G(mu_d)] / 2, G the linear conductance at each
     chemical potential."""
-    V_grid = list(V_grid)
-    if not V_grid:
-        raise ValueError("bias grid must be nonempty")
-    if any(b <= a for a, b in zip(V_grid, V_grid[1:])):
-        raise ValueError("bias grid must be strictly increasing")
+    V_grid = _bias_grid(V_grid)
     model = model_from_config(config)
-    mu0, T = config.mu_source, config.temperature
-    currents = [0.0 if V == 0 else
-                current(BiasPoint(mu0 + V / 2, mu0 - V / 2, T), model)
+    currents = [0.0 if V == 0 else current(_bias(config, V), model)
                 for V in V_grid]
-    if len(V_grid) >= 2:
-        G = np.gradient(np.asarray(currents),
-                        np.asarray(V_grid, dtype=float) * 1e-3)
-    else:
-        V = V_grid[0]
-        G = [0.5 * (linear_conductance(model, T, mu0 + V / 2)
-                    + linear_conductance(model, T, mu0 - V / 2))]
-    return IVCurve(points=tuple(
-        IVPoint(V_sd=float(v), I=float(i), G_diff=float(g))
-        for v, i, g in zip(V_grid, currents, G)))
+    return _curve(model, config, V_grid, currents)
+
+
+def iv_curves(config: DeviceConfig, V_grid) -> tuple[IVCurve, IVCurve]:
+    """(parallel, antiparallel) ``iv_curve``s from one model and one deficit
+    integral per bias: I = ballistic - w * deficit, and w = 1/2 scales the
+    deficit exactly, so each curve equals its own ``iv_curve`` bit for bit.
+    """
+    V_grid = _bias_grid(V_grid)
+    model = model_from_config(config, SpinOrientation.PARALLEL)
+    parts = [(0.0, 0.0) if V == 0 else
+             current_components(_bias(config, V), model) for V in V_grid]
+    return tuple(
+        _curve(replace(model, orientation=o), config, V_grid,
+               [ballistic - CHANNEL_WEIGHT[o] * deficit
+                for ballistic, deficit in parts])
+        for o in (SpinOrientation.PARALLEL, SpinOrientation.ANTIPARALLEL))

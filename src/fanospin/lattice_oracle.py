@@ -10,7 +10,12 @@ from matching plane-wave solutions across that site:
 
 This is the retarded-Green's-function (self-energy) route; it involves no
 lineshape ansatz, so it serves as an independent check of the analytic Fano
-formula in the weak-coupling limit.
+formula in the weak-coupling limit.  ``scattering_amplitudes`` returns the
+complex amplitudes at one energy; ``oracle_transmission`` and
+``oracle_reflection`` take a float or a numpy array and use the real form
+|tau|^2 = v^2 d^2 / (v^2 d^2 + tp^4) = 1 / (1 + (sigma/v)^2), v = 2 t sin k,
+d = E - eps_d, so ``compare_to_fano`` evaluates both lineshapes once on its
+whole grid.
 
 The dip minimum is eps_d exactly and its half-depth points are roots of a
 quartic, so the oracle needs no optimiser and no bracketing search.
@@ -72,14 +77,38 @@ def scattering_amplitudes(E: float,
     return tau, tau - 1.0
 
 
-def oracle_transmission(E: float, lattice: OracleLattice) -> float:
-    tau, _ = scattering_amplitudes(E, lattice)
-    return abs(tau) ** 2
+def oracle_transmission(E, lattice: OracleLattice):
+    """|tau|^2 = v^2 d^2 / (v^2 d^2 + tp^4) = 1 / (1 + s^2), s = sigma / v
+    = tp^2 / (v d), v = 2 t sin k = sqrt(4 t^2 - E^2), d = E - eps_d.
+
+    Evaluated as 1 / (1 + s^2) in units of t, with tp/t entering each
+    factor once, so no power of it under- or overflows: s is infinite and T
+    exactly 0 at E = eps_d for every tp > 0, and T = 1 at every E for
+    tp = 0.  E is a float or an array (a float comes back as a float);
+    BandEdgeError if any energy is outside the band.
+    """
+    E = np.asarray(E, dtype=float)
+    inside = np.abs(E) < lattice.band_edge
+    if not inside.all():
+        raise BandEdgeError(
+            f"|E| = {np.abs(E[~inside]).flat[0]} meV is outside the band "
+            f"(edge {lattice.band_edge} meV)")
+    t, tp = lattice.hopping_t, lattice.coupling_tp
+    if tp == 0:
+        T = np.ones_like(E)
+    else:
+        e, p = E / t, tp / t
+        x = np.sqrt((2.0 - e) * (2.0 + e)) * ((E - lattice.site_energy_eps_d)
+                                              / t)      # v d / t^2
+        with np.errstate(divide="ignore", over="ignore"):
+            s = p / x * p
+            T = 1.0 / (1.0 + s * s)
+    return float(T) if T.ndim == 0 else T
 
 
-def oracle_reflection(E: float, lattice: OracleLattice) -> float:
-    _, r = scattering_amplitudes(E, lattice)
-    return abs(r) ** 2
+def oracle_reflection(E, lattice: OracleLattice):
+    """|r|^2 = 1 - |tau|^2 (unitarity), float or array like E."""
+    return 1.0 - oracle_transmission(E, lattice)
 
 
 def dip_minimum(lattice: OracleLattice) -> float:
@@ -160,8 +189,7 @@ def compare_to_fano(lattice: OracleLattice,
             f"the grid step {step:g} meV is below the float spacing "
             f"{spacing:g} meV")
     grid = np.linspace(lo, hi, n_points)
-    t_oracle = np.array([oracle_transmission(E, lattice) for E in grid])
-    t_fano = np.array([fano_transmission(E - E_min, gamma, 0j)
-                       for E in grid])
+    t_oracle = oracle_transmission(grid, lattice)
+    t_fano = fano_transmission(grid - E_min, gamma, 0j)
     dev = float(np.max(np.abs(t_oracle - t_fano)))
     return dev, gamma, grid, t_oracle, t_fano

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from fanospin import landauer
 from fanospin.cli import main
-from fanospin.config import default_config, dumps
+from fanospin.config import apply_overrides, default_config, dumps, validate
+from fanospin.fano import SpinOrientation, mode_transmission
+from fanospin.landauer import model_from_config
 
 
 def run_cli(args, **kw):
@@ -60,9 +63,12 @@ def test_validation_failure_exits_1_naming_key(tmp_path):
     ("levels", "modes=5", "modes"),
     ("sweep", "Gamma=1e-200", "Gamma"),
     ("readout", "Gamma=1e-200", "Gamma"),
+    ("sweep", "Gamma=1e-150", "Gamma"),
+    ("readout", "Gamma=1e-17", "Gamma"),
 ], ids=["mode-index-out-of-range", "q-one-component", "J-not-an-object",
         "J-overflows-float", "modes-not-a-list", "Gamma-underflows-sweep",
-        "Gamma-underflows-readout"])
+        "Gamma-underflows-readout", "Gamma-below-spacing-sweep",
+        "Gamma-below-spacing-readout"])
 def test_malformed_override_exits_1_naming_key(tmp_path, command, override,
                                                key):
     proc = run_cli([command, "--set", override, "--out", str(tmp_path)])
@@ -205,6 +211,49 @@ def test_sweep_factor_two_in_csv(tmp_path):
         vals = line.split(",")
         assert float(vals[i_ra]) == pytest.approx(
             float(vals[i_rp]) / 2, abs=1e-12)
+
+
+def test_sweep_columns_match_mode_transmission(tmp_path):
+    overrides = ["q=[0,0.5]", "dot_spin=Down",
+                 'modes=[{"bottom_energy": 7.0, "coupled": true},'
+                 ' {"bottom_energy": 6.0}, {"bottom_energy": 8.0}]']
+    rc = main(["sweep", "--grid", "5:10:51", "--out", str(tmp_path),
+               *(arg for o in overrides for arg in ("--set", o))])
+    assert rc == 0
+    lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    cfg = validate(apply_overrides(default_config(), overrides))
+    par = model_from_config(cfg, SpinOrientation.PARALLEL)
+    anti = model_from_config(cfg, SpinOrientation.ANTIPARALLEL)
+    for i, mode in enumerate(cfg.modes):
+        for row in rows:
+            E = row[0]
+            col = dict(zip(header, row))
+            tp = mode_transmission(E, par, i)
+            ta = mode_transmission(E, anti, i)
+            is_open = E >= mode.bottom_energy
+            assert col[f"T_parallel_mode{i}"] == tp
+            assert col[f"T_antiparallel_mode{i}"] == ta
+            assert col[f"R_parallel_mode{i}"] == (1.0 - tp if is_open else 0.0)
+            assert col[f"R_antiparallel_mode{i}"] == (
+                1.0 - ta if is_open else 0.0)
+
+
+def test_iv_integrates_each_deficit_once(tmp_path, monkeypatch):
+    calls = {"model_from_config": 0, "_deficit_integral": 0}
+    for name in calls:
+        original = getattr(landauer, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(landauer, name, counted)
+    rc = main(["iv", "--set", "temperature=4", "--out", str(tmp_path)])
+    assert rc == 0
+    # 81 default biases, one of them 0
+    assert calls == {"model_from_config": 1, "_deficit_integral": 80}
 
 
 def test_manifest_lists_outputs(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanospin.config import DeviceConfig, Mode, validate
+from fanospin.config import ConfigError, DeviceConfig, Mode, validate
 from fanospin.dot_spectrum import (BASIS, CHARACTER_TIE_TOL, DEGENERACY_TOL,
                                    Character, analytic_eigenvalues,
                                    eigenlevels, levels_distinguishable,
@@ -136,6 +136,16 @@ def test_target_level_examples():
     res_so = target_level(eigenlevels(cfg_so), cfg_so)
     # lower spin-orbit branch of the |up,up> doublet
     assert res_so.energy == pytest.approx(10 - 0.25 - 0.25, abs=1e-12)
+
+
+def test_target_level_rejects_gamma_below_float_spacing():
+    # E_res = 9.75 meV, whose float spacing is 1.8e-15 meV
+    for Gamma in (1e-17, 1e-150):
+        cfg = make_config(J=1.0, Gamma=Gamma)
+        with pytest.raises(ConfigError, match="^Gamma: "):
+            target_level(eigenlevels(cfg), cfg)
+    cfg = make_config(J=1.0, Gamma=1e-15)
+    assert target_level(eigenlevels(cfg), cfg).Gamma == 1e-15
 
 
 def reference_levels(cfg):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
@@ -9,7 +10,8 @@ from fanospin.config import Mode
 from fanospin.dot_spectrum import ResonanceSpec
 from fanospin.fano import (SpinOrientation, TransmissionModel, dip_integral,
                            fano_transmission, mean_reflection,
-                           mode_transmission, spin_channel_reflection)
+                           mode_transmission, spin_channel_reflection,
+                           total_transmission)
 
 energies = st.floats(min_value=-100, max_value=100, allow_nan=False)
 gammas = st.floats(min_value=1e-3, max_value=50, allow_nan=False)
@@ -83,6 +85,36 @@ def test_mode_transmission():
     assert mode_transmission(5.0, par, 0) == 0.0       # full dip
     with pytest.raises(IndexError):
         mode_transmission(1.0, par, 2)
+
+
+@given(Gamma=gammas, q_imag=st.floats(-1.0, 1.0), E0=st.floats(-20, 20),
+       bottoms=st.lists(st.floats(-30, 30), min_size=1, max_size=3),
+       coupled=st.integers(0, 2), span=st.floats(1e-3, 100),
+       n=st.integers(2, 60),
+       orientation=st.sampled_from(list(SpinOrientation)))
+def test_array_transmission_matches_scalar_bit_for_bit(
+        Gamma, q_imag, E0, bottoms, coupled, span, n, orientation):
+    modes = tuple(Mode(b, coupled=(i == coupled % len(bottoms)))
+                  for i, b in enumerate(bottoms))
+    m = make_model(orientation, E0=E0, Gamma=Gamma, q=complex(0.0, q_imag),
+                   modes=modes)
+    grid = np.sort(np.concatenate(
+        [np.linspace(E0 - span, E0 + span, n), [E0], bottoms]))
+    for i in range(len(modes)):
+        column = mode_transmission(grid, m, i)
+        assert column.tolist() == [mode_transmission(float(E), m, i)
+                                   for E in grid]
+    total = total_transmission(grid, m)
+    assert total.tolist() == [total_transmission(float(E), m) for E in grid]
+    assert total.tolist() == [
+        sum(mode_transmission(float(E), m, i) for i in range(len(modes)))
+        for E in grid]
+    # for q = 0 the coupled mode dips exactly to 1 - w at the resonance
+    m0 = make_model(orientation, E0=E0, Gamma=Gamma, modes=modes)
+    c = m0.coupled_index
+    at_res = mode_transmission(grid, m0, c)[grid == E0]
+    expected = 1.0 - m0.weight if E0 >= modes[c].bottom_energy else 0.0
+    assert (at_res == expected).all()
 
 
 @given(E=energies)

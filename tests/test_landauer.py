@@ -1,15 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fanospin.config import DeviceConfig, Mode, validate
+from fanospin.config import DeviceConfig, Mode, Spin, validate
 from fanospin.constants import CONSTANTS, CURRENT_PER_MEV
 from fanospin.dot_spectrum import ResonanceSpec
 from fanospin.fano import SpinOrientation, TransmissionModel
 from fanospin.landauer import (BiasPoint, current, current_components, fermi,
-                               iv_curve, linear_conductance, optimal_bias)
+                               iv_curve, iv_curves, linear_conductance,
+                               optimal_bias)
 
 G0 = CONSTANTS.G0_spin_polarized
 
@@ -162,6 +164,19 @@ def test_iv_curve_single_point_is_exact_derivative(T):
     lo, hi = iv_curve(cfg, [1.0 - h, 1.0 + h]).points
     assert pt.G_diff == pytest.approx((hi.I - lo.I) / (2 * h * 1e-3),
                                       rel=1e-7)
+
+
+@pytest.mark.parametrize("T", [0.0, 4.0, 40.0])
+@pytest.mark.parametrize("grid", [[1.0], [-1.0, 0.0, 0.5, 2.0]])
+def test_iv_curves_equal_each_orientation_bit_for_bit(T, grid):
+    cfg = validate(DeviceConfig(
+        eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0,
+        mu_source=7.25, V_sd=1.0, temperature=T, q=0.4j,
+        modes=(Mode(0.0, coupled=True), Mode(7.6, coupled=False))))
+    par, anti = iv_curves(cfg, grid)
+    assert par == iv_curve(dataclasses.replace(cfg, dot_spin=Spin.UP), grid)
+    assert anti == iv_curve(dataclasses.replace(cfg, dot_spin=Spin.DOWN),
+                            grid)
 
 
 def test_iv_curve_rejects_bad_grid():

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fanospin.fano import fano_transmission
 from fanospin.lattice_oracle import (BandEdgeError, ExtractionError,
                                      OracleLattice, compare_to_fano,
                                      dip_minimum, effective_broadening,
-                                     oracle_transmission,
+                                     oracle_reflection, oracle_transmission,
                                      scattering_amplitudes)
 
 
@@ -152,3 +153,39 @@ def test_compare_decoupled_is_exact():
         OracleLattice(1.0, 0.0, 0.0))
     assert dev == 0.0
     assert np.all(t_oracle == 1.0) and np.all(t_fano == 1.0)
+
+
+@settings(max_examples=30)
+@given(ratio=st.floats(0.01, 0.3), eta=st.floats(-1.0, 1.0),
+       t=st.floats(1.0, 1e4))
+def test_compare_grid_matches_pointwise_oracle(ratio, eta, t):
+    lat = OracleLattice(hopping_t=t, site_energy_eps_d=eta * t,
+                        coupling_tp=ratio * t)
+    _, gamma, grid, t_oracle, t_fano = compare_to_fano(lat, n_points=201)
+    assert t_oracle.tolist() == [oracle_transmission(float(E), lat)
+                                 for E in grid]
+    assert t_fano.tolist() == [fano_transmission(float(E) - eta * t, gamma,
+                                                 0j) for E in grid]
+
+
+def test_oracle_kernel_on_arrays():
+    lat = OracleLattice(hopping_t=1.0, site_energy_eps_d=0.3,
+                        coupling_tp=0.2)
+    E = np.array([-1.5, 0.3, 1.9])
+    T = oracle_transmission(E, lat)
+    assert T[1] == 0.0
+    assert isinstance(oracle_transmission(0.3, lat), float)
+    assert (oracle_reflection(E, lat) == 1.0 - T).all()
+    for bad in (2.0, -2.5, np.nan):
+        with pytest.raises(BandEdgeError):
+            oracle_transmission(np.append(E, bad), lat)
+
+
+@given(E=st.floats(-1.99, 1.99), tp=st.floats(0.0, 1.0),
+       eps_d=st.floats(-1.5, 1.5))
+def test_transmission_kernel_matches_amplitudes(E, tp, eps_d):
+    lat = OracleLattice(hopping_t=1.0, site_energy_eps_d=eps_d,
+                        coupling_tp=tp)
+    tau, _ = scattering_amplitudes(E, lat)
+    assert oracle_transmission(E, lat) == pytest.approx(abs(tau) ** 2,
+                                                        abs=1e-13)

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,3 +134,16 @@ def test_verdict_monotone_in_beta(beta, beta_more):
     v_hi = nondemolition_summary(make_config(beta=hi))
     if v_lo.qnd:
         assert v_hi.qnd
+
+
+def test_readout_contrast_sweep_script(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "readout_contrast_sweep.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "contrast_vs_gamma.csv").read_text().splitlines()
+    assert lines[0].startswith("Gamma_meV,I_parallel_A,I_antiparallel_A")
+    assert len(lines) == 1 + 30
