@@ -131,6 +131,9 @@ def _run_iv(cfg: DeviceConfig, args, out: Path) -> list[Path]:
         grid = _parse_grid(args.grid)
     else:
         grid = np.linspace(-2 * cfg.Gamma, 2 * cfg.Gamma, 81)
+    if len(grid) and grid[0] == -grid[-1]:
+        # mirror-exact: V[k] == -V[n-1-k], so I(-V) = -I(V) bit for bit
+        grid = (grid - grid[::-1]) / 2
     curve_par, curve_anti = iv_curves(cfg, grid)
     path = out / "iv.csv"
     _write_csv(path,
@@ -215,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="config override (dotted path)")
         if name in ("sweep", "iv"):
             p.add_argument("--grid", default=None, metavar="START:STOP:COUNT",
-                           help="evaluation grid")
+                           help="evaluation grid; a negative START needs "
+                                "the = form, --grid=-2:2:81")
         if name == "oracle":
             p.add_argument("--hopping-t", type=float, default=1000.0,
                            dest="hopping_t", help="chain hopping, meV")

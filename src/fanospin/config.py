@@ -74,9 +74,9 @@ def validate(config: DeviceConfig) -> DeviceConfig:
     """
     errs: list[str] = []
 
-    if not config.Gamma >= GAMMA_MIN:
-        errs.append(f"Gamma: must be >= {GAMMA_MIN:g} meV (its square must "
-                    f"not underflow), got {config.Gamma}")
+    if not GAMMA_MIN <= config.Gamma <= 0.1 / GAMMA_MIN:
+        errs.append(f"Gamma: must be in [{GAMMA_MIN:g}, {0.1 / GAMMA_MIN:g}]"
+                    f" meV ((10 Gamma)^2 must be finite), got {config.Gamma}")
     if config.temperature < 0:
         errs.append(f"temperature: must be >= 0 K, got {config.temperature}")
     if not (config.q.real == 0 and abs(config.q) <= 1):

@@ -12,9 +12,10 @@ with e = eps1 + U_C and r = sqrt(J^2 + beta^2)/2:
   triplet probability 1/2 + J/(4r) and the upper with 1/2 - J/(4r).
 
 The sums are parenthesised as written so that at beta = 0 the flip-flop
-triplet equals the stretched one bit for bit, and the tunnelling target is
-exactly eps1 + U_C - J/4 - |beta|/2.  ``two_electron_hamiltonian`` builds
-the 8x8 matrix itself, as the reference the closed form is tested against.
+triplet equals the stretched one bit for bit.  ``target_level`` takes the
+tunnelling target, the lowest |up,up> level eps1 + U_C - J/4 - |beta|/2,
+straight from the config.  ``two_electron_hamiltonian`` builds the 8x8
+matrix itself, as the reference the closed form is tested against.
 
 Energies are measured from the one-electron ground level: a level energy is
 directly the energy an incoming wire electron must supply.
@@ -73,7 +74,11 @@ class LevelDiagram:
 class ResonanceSpec:
     energy: float                # meV, relative to the ground level
     Gamma: float                 # meV
-    q: complex
+    q: complex                   # Re q = 0, |q| <= 1: else T > 1 somewhere
+
+    def __post_init__(self):
+        if not (self.Gamma > 0 and self.q.real == 0 and abs(self.q) <= 1):
+            raise ValueError(f"need Gamma > 0, Re q = 0 and |q| <= 1: {self}")
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,8 @@ def eigenlevels(config: DeviceConfig) -> LevelDiagram:
     level is Mixed when its members' characters differ, reports l1z = 0
     when it spans both orbital branches and sz_total as the sum over its
     members.  Its energy is that of its lowest spin-aligned (|up,up>)
-    member if it has one, else of its lowest member, so the tunnelling
-    target keeps its exact closed form.
+    member if it has one, else of its lowest member, so the lowest
+    spin-aligned level reads exactly the ``target_level`` energy.
     """
     states = sorted(_states(config.eps1 + config.U_C, config.J,
                             config.beta_value), key=lambda s: s.energy)
@@ -177,16 +182,14 @@ def eigenlevels(config: DeviceConfig) -> LevelDiagram:
     return LevelDiagram(levels=tuple(levels))
 
 
-def target_level(diagram: LevelDiagram, config: DeviceConfig) -> ResonanceSpec:
-    """Resonance the wire electron tunnels to: the spin-aligned stretched
-    triplet, lower spin-orbit branch when the two branches split.
+def target_level(config: DeviceConfig) -> ResonanceSpec:
+    """Resonance the wire electron tunnels to, the spin-aligned stretched
+    triplet of the lower spin-orbit branch: eps1 + U_C - J/4 - |beta|/2.
 
     Raises ConfigError naming Gamma when E_res +- Gamma rounds to E_res:
     such a dip is narrower than floating point can resolve at E_res."""
-    candidates = [lv for lv in diagram.levels if lv.parallel_accessible]
-    if not candidates:
-        raise RuntimeError("level diagram has no spin-aligned level")
-    E_res = min(candidates, key=lambda lv: lv.energy).energy
+    E_res = (config.eps1 + config.U_C - config.J / 4
+             - abs(config.beta_value) / 2)
     G = config.Gamma
     if E_res - G == E_res or E_res + G == E_res:
         raise ConfigError([f"Gamma: {G} meV is below the float spacing at "

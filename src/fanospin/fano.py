@@ -2,11 +2,11 @@
 weighting, multi-mode composition, and windowed mean reflection.
 
 The dot-coupled channel carries a Fano dip T = |eps + q*Gamma|^2 /
-(eps^2 + Gamma^2), computed in real arithmetic as ((eps + Re q Gamma)^2 +
-(Im q Gamma)^2) / (eps^2 + Gamma^2).  When the dot spin is antiparallel to
-the wire polarization only the S=1 component of the incoming two-spin state
-(weight 1/2) can scatter off the resonance, so the reflection is half the
-parallel one at every energy.
+(eps^2 + Gamma^2); T <= 1 needs Re q = 0 and |q| <= 1, so 1 - T is the
+Lorentzian (1 - |q|^2) Gamma^2 / (eps^2 + Gamma^2).  When the dot spin is
+antiparallel to the wire polarization only the S=1 component of the
+incoming two-spin state (weight 1/2) can scatter off the resonance, so the
+reflection is half the parallel one at every energy.
 
 ``fano_transmission``, ``spin_channel_reflection``, ``mode_transmission``
 and ``total_transmission`` take a float or a numpy array of energies; with
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .config import DeviceConfig, Mode, Spin
+from .config import Mode
 from .dot_spectrum import ResonanceSpec
 
 
@@ -54,33 +54,23 @@ class TransmissionModel:
         return next(i for i, m in enumerate(self.modes) if m.coupled)
 
 
-def from_config(config: DeviceConfig, resonance: ResonanceSpec,
-                orientation: SpinOrientation | None = None) -> TransmissionModel:
-    if orientation is None:
-        orientation = (SpinOrientation.PARALLEL
-                       if config.dot_spin is Spin.UP
-                       else SpinOrientation.ANTIPARALLEL)
-    return TransmissionModel(resonance=resonance, orientation=orientation,
-                             modes=tuple(config.modes))
-
-
 def fano_transmission(detuning, Gamma: float, q: complex):
-    """T = |eps + q Gamma|^2 / (eps^2 + Gamma^2), as
-    ((eps + Re q Gamma)^2 + (Im q Gamma)^2) / (eps^2 + Gamma^2).
+    """T = |eps + q Gamma|^2 / (eps^2 + Gamma^2) for Re q = 0, as
+    (eps^2 + (Im q Gamma)^2) / (eps^2 + Gamma^2).
 
     ``detuning`` is a float or an array.  Only + - * / on reals, so a
     scalar and an array call agree bit for bit.
 
     Its supremum over eps is the largest eigenvalue of [[1, Re q],
-    [Re q, |q|^2]], so T <= 1 only for Re q = 0 and |q| <= 1.  Any other q
-    (any real q != 0 too) exceeds 1 somewhere, which is unphysical for a
-    two-terminal wire; ``config.validate`` accepts no such q.
+    [Re q, |q|^2]], so any Re q != 0 makes T exceed 1 somewhere, which is
+    unphysical for a two-terminal wire: such a q raises ValueError.
     """
     if not Gamma > 0:
         raise ValueError(f"Gamma must be > 0, got {Gamma}")
-    a = detuning + q.real * Gamma
-    b = q.imag * Gamma
-    return (a * a + b * b) / (detuning * detuning + Gamma * Gamma)
+    if q.real:
+        raise ValueError(f"q must have Re q = 0, got {q}")
+    d2, b = detuning * detuning, q.imag * Gamma
+    return (d2 + b * b) / (d2 + Gamma * Gamma)
 
 
 def spin_channel_reflection(E, model: TransmissionModel):
@@ -116,22 +106,14 @@ def total_transmission(E, model: TransmissionModel):
 def dip_integral(resonance: ResonanceSpec, lo: float, hi: float) -> float:
     """integral_lo^hi (1 - T_fano(E - E_res)) dE in meV, closed form.
 
-    Antiderivative Gamma (1 - |q|^2) atan(eps/Gamma) - Re(q) Gamma
-    ln(eps^2 + Gamma^2), eps = E - E_res.  The arctan difference is the
-    argument of (Gamma + i eps_hi)(Gamma - i eps_lo); the log difference
-    goes through log1p when the endpoints are near-equidistant from E_res.
+    Antiderivative Gamma (1 - |q|^2) atan(eps/Gamma), eps = E - E_res
+    (Re q = 0).  The arctan difference is the argument of
+    (Gamma + i eps_hi)(Gamma - i eps_lo), exact for narrow windows too.
     """
-    G, q = resonance.Gamma, resonance.q
-    if not G > 0:
-        raise ValueError(f"Gamma must be > 0, got {G}")
+    G = resonance.Gamma
     a, b = lo - resonance.energy, hi - resonance.energy
-    area = G * (1.0 - abs(q) ** 2) * math.atan2(G * (hi - lo), G * G + a * b)
-    if q.real:
-        ra, rb = math.hypot(a, G), math.hypot(b, G)
-        d = (hi - lo) / ra * ((a + b) / ra)  # (rb/ra)^2 - 1
-        dlog = math.log1p(d) if abs(d) < 0.5 else 2.0 * math.log(rb / ra)
-        area -= q.real * G * dlog
-    return area
+    return G * (1.0 - abs(resonance.q) ** 2) * math.atan2(
+        G * (hi - lo), G * G + a * b)
 
 
 def mean_reflection(model: TransmissionModel,

@@ -17,8 +17,8 @@ distance to the nearest one, so the rule is exact to rounding.  The
 breakpoints depend only on the sorted pair of chemical potentials, so
 I(-V) = -I(V) holds exactly.
 
-T = 0 K (any T whose k_B T is 0 in floating point) is an exact special
-case with a sharp integration window, not a small-T limit.
+A sharp window, where every mu +- 40 kT rounds to mu (T = 0 K included),
+is an exact special case evaluated in closed form, not a small-T limit.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import CONSTANTS, CURRENT_PER_MEV, thermal_energy
-from .config import DeviceConfig
-from .dot_spectrum import ResonanceSpec, eigenlevels, target_level
+from .config import DeviceConfig, Spin
+from .dot_spectrum import ResonanceSpec, target_level
 from .fano import (CHANNEL_WEIGHT, SpinOrientation, TransmissionModel,
-                   dip_integral, from_config, total_transmission)
+                   dip_integral, total_transmission)
 
 #: The Fermi tails beyond this many kT from every chemical potential weigh
 #: e^-40 ~ 4e-18 of the bias window and are left out.
@@ -86,11 +86,17 @@ def _softplus_energy(mu: float, bottom: float, kT: float) -> float:
     return kT * math.log1p(math.exp(x))
 
 
+def _sharp(kT: float, *mus: float) -> bool:
+    """Every mu +- 40 kT rounds to mu, so the T = 0 closed forms are exact."""
+    tail = FERMI_TAIL_KT * kT
+    return kT == 0 or all(mu - tail == mu == mu + tail for mu in mus)
+
+
 def _ballistic_integral(bottom: float, bias: BiasPoint) -> float:
     """integral_bottom^inf [f_s - f_d] dE in meV, closed form."""
     mu_s, mu_d = bias.mu_source, bias.mu_drain
     kT = thermal_energy(bias.temperature)
-    if kT == 0:
+    if _sharp(kT, mu_s, mu_d):
         return max(0.0, mu_s - bottom) - max(0.0, mu_d - bottom)
     # integral of f from bottom to inf = kT * softplus((mu - bottom)/kT)
     return _softplus_energy(mu_s, bottom, kT) - _softplus_energy(
@@ -98,10 +104,11 @@ def _ballistic_integral(bottom: float, bias: BiasPoint) -> float:
 
 
 def _graded(center: float, scale: float, lo: float, hi: float):
-    """center and center +- scale * 2^k, k = 0, 1, ..., past both of lo, hi."""
+    """center and center +- scale * 2^k, k = 0, 1, ..., past both of lo, hi,
+    built downward by halving so that none overflows."""
     reach = max(center - lo, hi - center)
     n = max(0, math.ceil(math.log2(reach) - math.log2(scale))) + 1
-    steps = scale * np.exp2(np.arange(n))
+    steps = math.ldexp(scale, n - 1) * np.exp2(-np.arange(n))
     return np.concatenate(([center], center - steps, center + steps))
 
 
@@ -120,11 +127,10 @@ def _graded_quadrature(integrand, lo: float, hi: float, res: ResonanceSpec,
 
 
 def _dip(E, res: ResonanceSpec):
-    """1 - T_fano(E - E_res) on an array of energies."""
-    G, q = res.Gamma, res.q
+    """1 - T_fano(E - E_res), a Lorentzian as Re q = 0, on an array."""
+    G = res.Gamma
     eps = E - res.energy
-    return G * (G * (1.0 - abs(q) ** 2) - 2.0 * q.real * eps) / (
-        eps * eps + G * G)
+    return G * (G * (1.0 - abs(res.q) ** 2)) / (eps * eps + G * G)
 
 
 def _fermi_window(E, mu_lo: float, mu_hi: float, kT: float):
@@ -152,7 +158,7 @@ def _deficit_integral(model: TransmissionModel, bias: BiasPoint) -> float:
     sign = 1.0 if bias.mu_source >= bias.mu_drain else -1.0
     kT = thermal_energy(bias.temperature)
 
-    if kT == 0:
+    if _sharp(kT, mu_lo, mu_hi):
         lo = max(bottom, mu_lo)
         if lo >= mu_hi:
             return 0.0
@@ -190,8 +196,7 @@ def linear_conductance(model: TransmissionModel, temperature: float,
     G0 [sum_m f(bottom_m) - w integral_bottom^inf (1 - T_fano)(-df/dE) dE]
     on the graded rule.  A k_B T below the float spacing at mu is a step."""
     kT = thermal_energy(temperature)
-    hi = mu + FERMI_TAIL_KT * kT
-    if hi == mu:
+    if _sharp(kT, mu):
         return CONSTANTS.G0_spin_polarized * total_transmission(mu, model)
     res = model.resonance
 
@@ -201,7 +206,8 @@ def linear_conductance(model: TransmissionModel, temperature: float,
 
     dip = _graded_quadrature(
         integrand, max(model.modes[model.coupled_index].bottom_energy,
-                       mu - FERMI_TAIL_KT * kT), hi, res, (mu,), kT) / kT
+                       mu - FERMI_TAIL_KT * kT), mu + FERMI_TAIL_KT * kT,
+        res, (mu,), kT) / kT
     ballistic = sum(float(fermi(m.bottom_energy, mu, temperature))
                     for m in model.modes)
     return CONSTANTS.G0_spin_polarized * (ballistic - model.weight * dip)
@@ -216,8 +222,12 @@ def optimal_bias(Gamma: float) -> float:
 
 def model_from_config(config: DeviceConfig,
                       orientation=None) -> TransmissionModel:
-    resonance = target_level(eigenlevels(config), config)
-    return from_config(config, resonance, orientation)
+    """The model of a validated config; orientation defaults by dot_spin."""
+    if orientation is None:
+        orientation = (SpinOrientation.PARALLEL if config.dot_spin is Spin.UP
+                       else SpinOrientation.ANTIPARALLEL)
+    return TransmissionModel(target_level(config), orientation,
+                             tuple(config.modes))
 
 
 def _bias_grid(V_grid) -> list:

@@ -6,10 +6,15 @@ Relative current decreases are quoted against the ballistic wire (dot
 decoupled) at identical bias.  The parallel current deficit is evaluated
 as a dedicated integral; the antiparallel one is that deficit times its
 spin-channel weight 1/2, so the halving is exact.
+
+N identical lossless scatterers compose in intensity when placed at random
+and, ordered at the phase-matched spacing, by the exact product of their
+2x2 transfer matrices, R_N = tanh^2(N artanh sqrt(R)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,8 +30,6 @@ LINESHAPE_NOTE = (
     "mean reflection over |detuning| < Gamma is pi/4 ~ 0.785 for q = 0, "
     "not ~1/3; a mean of ~1/3 corresponds to a window of roughly "
     "+-4*Gamma")
-
-COHERENT_REGIME_LIMIT = 0.1     # N^2 R above this flags the small-signal model
 
 
 class Arrangement(Enum):
@@ -51,8 +54,6 @@ class ScalingModel:
 @dataclass(frozen=True)
 class NQubitReflection:
     reflection: float
-    in_regime: bool     # False when the small-signal coherent model is out
-                        # of its validity range
 
 
 @dataclass(frozen=True)
@@ -115,20 +116,19 @@ def readout_report(config: DeviceConfig,
 
 
 def n_qubit_reflection(model: ScalingModel) -> NQubitReflection:
-    """Total reflection of N identical weak scatterers along the wire.
+    """Total reflection of N identical scatterers along the wire.
 
     Random placement adds reflections incoherently (series R/T law):
-    R_N = N R / (1 + (N - 1) R), which tends to N R for N R << 1.  Ordered
-    placement adds amplitudes: R_N = N^2 R, a small-signal model valid only
-    for N^2 R << 1 and flagged otherwise.
+    R_N = N R / (1 + (N - 1) R), which tends to N R for N R << 1.  Ordered,
+    phase-matched placement adds amplitudes: R_N = tanh^2(N artanh sqrt(R)),
+    exact for any R (1 at R = 1), which tends to N^2 R for N^2 R << 1.
     """
     N, R = model.N, model.R_single
     if model.arrangement is Arrangement.RANDOM_INCOHERENT:
-        return NQubitReflection(
-            reflection=N * R / (1.0 + (N - 1) * R), in_regime=True)
-    coherent = N * N * R
-    return NQubitReflection(reflection=min(1.0, coherent),
-                            in_regime=coherent <= COHERENT_REGIME_LIMIT)
+        return NQubitReflection(reflection=N * R / (1.0 + (N - 1) * R))
+    if R == 1.0:    # artanh(1) is infinite
+        return NQubitReflection(reflection=1.0)
+    return NQubitReflection(math.tanh(N * math.atanh(math.sqrt(R))) ** 2)
 
 
 def nondemolition_summary(config: DeviceConfig,

@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanospin import landauer
 from fanospin.cli import main
-from fanospin.config import apply_overrides, default_config, dumps, validate
+from fanospin.config import (GAMMA_MIN, apply_overrides, default_config,
+                             dumps, validate)
 from fanospin.fano import SpinOrientation, mode_transmission
 from fanospin.landauer import model_from_config
 
@@ -261,3 +266,88 @@ def test_manifest_lists_outputs(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["tool_version"]
     assert any(p.endswith("levels.csv") for p in manifest["outputs"])
+
+
+def _csv_columns(path):
+    header, *rows = path.read_text().strip().split("\n")
+    cols = list(zip(*(map(float, r.split(",")) for r in rows)))
+    return dict(zip(header.split(","), cols))
+
+
+@pytest.mark.parametrize("T", [0.0, 4.0])
+@pytest.mark.parametrize("grid", [[], ["--grid=-2:2:7"]],
+                         ids=["default", "grid"])
+def test_iv_csv_exactly_antisymmetric(tmp_path, T, grid):
+    assert main(["iv", *grid, "--set", f"temperature={T}",
+                 "--out", str(tmp_path)]) == 0
+    cols = _csv_columns(tmp_path / "iv.csv")
+    for key in ("V_mV", "I_A_parallel", "I_A_antiparallel"):
+        assert list(cols[key]) == [-x for x in cols[key][::-1]]
+
+
+def test_negative_grid_start_needs_equals_form(tmp_path, capsys):
+    assert main(["iv", "--grid", "-2:2:7", "--out", str(tmp_path)]) == 64
+    assert main(["iv", "--grid=-2:2:7", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["iv", "--help"]) == 0
+    assert "--grid=-2:2:81" in " ".join(capsys.readouterr().out.split())
+
+
+#: The default config's resonance, eps1 + U_C - J/4 - |beta|/2 in meV.
+E_RES_DEFAULT = 7.25
+
+#: Typical values, values at and across the accepted Gamma range's ends,
+#: and every float (negative, subnormal, huge, infinite, NaN).
+gammas = st.one_of(
+    st.floats(-3, 2).map(lambda k: 10.0 ** k),
+    st.sampled_from([GAMMA_MIN, math.nextafter(GAMMA_MIN, 0), 0.1 / GAMMA_MIN,
+                     math.nextafter(0.1 / GAMMA_MIN, math.inf), 4e-16, 1e-15,
+                     0.0, -1.0]),
+    st.floats())
+#: Re q: zero or any float; Im q: in, at and around [-1, 1], or any float.
+q_re = st.one_of(st.sampled_from([0.0, -0.0]), st.floats())
+q_im = st.one_of(st.floats(-1, 1), st.sampled_from([-1.0, 1.0]),
+                 st.floats(-1.2, 1.2), st.floats())
+
+
+def _run(command, overrides, out):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([command, "--out", str(out),
+                   *(arg for o in overrides for arg in ("--set", o))])
+    return rc, err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(re=q_re, im=q_im, Gamma=gammas)
+def test_q_and_gamma_overrides_through_cli(re, im, Gamma):
+    overrides = [f"q={json.dumps([re, im])}", f"Gamma={json.dumps(Gamma)}"]
+    invalid = set()
+    if not (re == 0 and abs(complex(re, im)) <= 1):
+        invalid.add("q")
+    E = E_RES_DEFAULT
+    if not (GAMMA_MIN <= Gamma <= 0.1 / GAMMA_MIN
+            and E - Gamma != E != E + Gamma):
+        invalid.add("Gamma")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for command in ("sweep", "iv", "readout"):
+            rc, err = _run(command, overrides, out / command)
+            assert "Traceback" not in err
+            assert rc == (1 if invalid else 0), err
+            named = {k for k in ("q", "Gamma") if f"{k}:" in err}
+            assert named <= invalid and bool(named) == bool(invalid), err
+        if invalid:
+            return
+        sweep = _csv_columns(out / "sweep" / "sweep.csv")
+        for key, col in sweep.items():
+            if key.startswith("T_"):
+                assert all(0.0 <= t <= 1.0 for t in col), key
+        for r_par, r_anti in zip(sweep["R_parallel"], sweep["R_antiparallel"]):
+            assert r_anti == pytest.approx(r_par / 2, abs=1e-15)
+        iv = _csv_columns(out / "iv" / "iv.csv")
+        for key in ("V_mV", "I_A_parallel", "I_A_antiparallel"):
+            assert list(iv[key]) == [-x for x in iv[key][::-1]]
+        report = json.loads((out / "readout" / "readout.json").read_text())
+        assert (report["delta_I_antiparallel_A"]
+                == report["delta_I_parallel_A"] / 2)

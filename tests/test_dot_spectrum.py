@@ -124,16 +124,16 @@ def test_parallel_accessible_marks_stretched_up_up():
 
 def test_target_level_examples():
     cfg = make_config(J=1.0, beta=0.0)
-    res = target_level(eigenlevels(cfg), cfg)
+    res = target_level(cfg)
     assert res.energy == pytest.approx(9.75, abs=1e-12)
     assert res.Gamma == cfg.Gamma
 
     cfg0 = make_config(J=0.0, beta=0.0)
-    res0 = target_level(eigenlevels(cfg0), cfg0)
+    res0 = target_level(cfg0)
     assert res0.energy == pytest.approx(10.0, abs=1e-12)
 
     cfg_so = make_config(J=1.0, beta=0.5)
-    res_so = target_level(eigenlevels(cfg_so), cfg_so)
+    res_so = target_level(cfg_so)
     # lower spin-orbit branch of the |up,up> doublet
     assert res_so.energy == pytest.approx(10 - 0.25 - 0.25, abs=1e-12)
 
@@ -143,9 +143,9 @@ def test_target_level_rejects_gamma_below_float_spacing():
     for Gamma in (1e-17, 1e-150):
         cfg = make_config(J=1.0, Gamma=Gamma)
         with pytest.raises(ConfigError, match="^Gamma: "):
-            target_level(eigenlevels(cfg), cfg)
+            target_level(cfg)
     cfg = make_config(J=1.0, Gamma=1e-15)
-    assert target_level(eigenlevels(cfg), cfg).Gamma == 1e-15
+    assert target_level(cfg).Gamma == 1e-15
 
 
 def reference_levels(cfg):
@@ -206,9 +206,12 @@ def test_closed_form_levels_match_numerical_reference(J, beta):
 @example(J=3.5857010553175597, beta=0.0)
 @example(J=-1e-11, beta=1.0)
 def test_resonance_is_exact_closed_form(J, beta):
+    # the lowest spin-aligned level of the diagram is the reference
     cfg = make_config(J=J, beta=beta)
-    res = target_level(eigenlevels(cfg), cfg)
+    res = target_level(cfg)
     assert res.energy == cfg.eps1 + cfg.U_C - J / 4 - abs(beta) / 2
+    assert res.energy == min(lv.energy for lv in eigenlevels(cfg).levels
+                             if lv.parallel_accessible)
 
 
 def test_spin_flip_blocked_thresholds():

@@ -31,7 +31,16 @@ def test_perfect_antiresonance():
 
 def test_hand_evaluations():
     assert fano_transmission(1.0, 1.0, 0j) == pytest.approx(0.5)
-    assert fano_transmission(0.0, 1.0, 1 + 0j) == pytest.approx(1.0)
+    assert fano_transmission(0.0, 1.0, 1j) == pytest.approx(1.0)
+
+
+def test_unphysical_q_rejected():
+    # any Re q != 0 or |q| > 1 makes T exceed 1 somewhere
+    with pytest.raises(ValueError, match="Re q = 0"):
+        fano_transmission(0.0, 1.0, 1 + 0j)
+    for q in (0.3, 1.5j):
+        with pytest.raises(ValueError, match="Re q = 0 and"):
+            ResonanceSpec(energy=0.0, Gamma=1.0, q=q)
 
 
 def test_gamma_must_be_positive():
@@ -175,8 +184,9 @@ def test_dip_integral_matches_quadrature():
 
 
 def test_dip_integral_narrow_window_with_real_q():
-    # window of 1e-9 Gamma: the area is the integrand times the width
-    res = ResonanceSpec(energy=0.0, Gamma=1.0, q=0.7 + 0.2j)
+    # window of 1e-9 Gamma: the area is the integrand times the width, so
+    # the atan2 form must not cancel (real q is rejected, see above)
+    res = ResonanceSpec(energy=0.0, Gamma=1.0, q=0.7j)
     for E in (-3.0, -0.4, 0.0, 0.9, 25.0):
         hi = E + 1e-9
         eps = (E + hi) / 2

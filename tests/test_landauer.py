@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fanospin.config import DeviceConfig, Mode, Spin, validate
-from fanospin.constants import CONSTANTS, CURRENT_PER_MEV
+from fanospin.constants import CONSTANTS, CURRENT_PER_MEV, thermal_energy
 from fanospin.dot_spectrum import ResonanceSpec
 from fanospin.fano import SpinOrientation, TransmissionModel
 from fanospin.landauer import (BiasPoint, current, current_components, fermi,
@@ -114,10 +115,33 @@ def test_subnormal_temperature_is_exact_zero_T():
 
 @pytest.mark.parametrize("T", [1e-300, 0.1, 4.0, 40.0, 300.0])
 def test_finite_T_current_exactly_antisymmetric(T):
-    m = make_model(E0=7.45, Gamma=0.3, q=0.3 + 0j, bottom=7.0)
+    m = make_model(E0=7.45, Gamma=0.3, q=0.3j, bottom=7.0)
     for V in (1e-3, 0.5, 2.0, 30.0):
         forward = current(BiasPoint(7.25 + V / 2, 7.25 - V / 2, T), m)
         assert current(BiasPoint(7.25 - V / 2, 7.25 + V / 2, T), m) == -forward
+
+
+def test_sharp_window_is_exact_and_warning_free():
+    # k_B T from 1e-320 K up: where every mu +- 40 kT rounds to mu the
+    # closed T = 0 forms hold bit for bit; elsewhere the graded rule runs
+    # on ladders of up to ~2000 steps, which must not overflow
+    m = make_model(E0=7.25, Gamma=1.0, bottom=0.0)
+    for mu in (0.0, 7.25):
+        biases = [(mu + 0.5, mu - 0.5), (mu + 1.0, mu)]
+        for T in (10.0 ** k for k in range(-320, -19, 15)):
+            tail = 40 * thermal_energy(T)
+            sharp = lambda *mus: all(x - tail == x == x + tail for x in mus)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                G = linear_conductance(m, T, mu)
+                currents = [current(BiasPoint(s, d, T), m) for s, d in biases]
+            assert math.isfinite(G)
+            if sharp(mu):
+                assert G == linear_conductance(m, 0.0, mu)
+            for (s, d), I in zip(biases, currents):
+                assert math.isfinite(I)
+                if sharp(s, d):
+                    assert I == current(BiasPoint(s, d, 0.0), m)
 
 
 def test_conductance_below_float_resolution_is_a_step():
@@ -244,12 +268,12 @@ KERNEL_CASES = [
     # window, and 2.5 kT above it; resonance inside the window
     (G, q, bottom, 7.45)
     for G in (1e-4, 0.1, 100.0)
-    for q in (0j, 0.3 + 0j, 0.5j)
+    for q in (0j, 0.5j)
     for bottom in (-1000.0, 7.15, 7.75)
 ] + [
-    (0.1, 0.3 + 0j, -1000.0, 4.25),     # resonance 30 kT below the window
+    (0.1, 0.5j, -1000.0, 4.25),         # resonance 30 kT below the window
     (1e-4, 0.5j, 7.15, 7.5),            # resonance on mu_source
-    (100.0, 0.3 + 0j, 7.15, 17.25),     # broad resonance far above
+    (100.0, 0.5j, 7.15, 17.25),         # broad resonance far above
 ]
 
 

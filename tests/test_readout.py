@@ -1,9 +1,12 @@
+import cmath
 import dataclasses
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -60,7 +63,6 @@ def test_n_qubit_single():
     for arr in Arrangement:
         out = n_qubit_reflection(ScalingModel(arr, N=1, R_single=1e-4))
         assert out.reflection == pytest.approx(1e-4, rel=1e-12)
-        assert out.in_regime
 
 
 def test_n_qubit_incoherent_series():
@@ -73,15 +75,35 @@ def test_n_qubit_incoherent_series():
     assert out2.reflection == pytest.approx(2 * 0.3 / 1.3, rel=1e-12)
 
 
+def _bragg_stack_reflection(R, N, tau=0.7, rho=1.9):
+    """Reflection of N lossless scatterers (t = sqrt(1-R) e^{i tau},
+    r = sqrt(R) e^{i rho}) from the explicit product of their unimodular
+    transfer matrices, spaced at the phase-matched (Bragg) phase k d =
+    pi - tau where the cell trace is largest."""
+    t = math.sqrt(1.0 - R) * cmath.exp(1j * tau)
+    r = math.sqrt(R) * cmath.exp(1j * rho)
+    M = np.array([[1 / t.conjugate(), r.conjugate() / t.conjugate()],
+                  [r / t, 1 / t]])
+    kd = math.pi - tau
+    cell = np.diag([cmath.exp(1j * kd), cmath.exp(-1j * kd)]) @ M
+    stack = np.linalg.matrix_power(cell, N)
+    return abs(stack[1, 0]) ** 2 / abs(stack[0, 0]) ** 2
+
+
 def test_n_qubit_coherent_amplitude_law():
-    out = n_qubit_reflection(
-        ScalingModel(Arrangement.ORDERED_COHERENT, N=10, R_single=1e-4))
-    assert out.reflection == pytest.approx(1e-2, rel=1e-12)
-    assert out.in_regime
-    big = n_qubit_reflection(
-        ScalingModel(Arrangement.ORDERED_COHERENT, N=100, R_single=1e-2))
-    assert big.reflection == 1.0
-    assert not big.in_regime
+    for R in (1e-4, 0.3, 0.9):
+        for N in (1, 2, 3, 7, 50):
+            out = n_qubit_reflection(
+                ScalingModel(Arrangement.ORDERED_COHERENT, N=N, R_single=R))
+            assert out.reflection == pytest.approx(
+                _bragg_stack_reflection(R, N), rel=1e-9)
+    # small-signal limit N^2 R, and a perfect reflector stays one
+    small = n_qubit_reflection(
+        ScalingModel(Arrangement.ORDERED_COHERENT, N=10, R_single=1e-8))
+    assert small.reflection == pytest.approx(1e-6, rel=1e-5)
+    for N in (1, 100):
+        assert n_qubit_reflection(ScalingModel(
+            Arrangement.ORDERED_COHERENT, N=N, R_single=1.0)).reflection == 1.0
 
 
 @given(R=st.floats(1e-8, 0.5), N=st.integers(1, 1000))
