@@ -25,7 +25,8 @@ from . import __version__
 from .config import (ConfigError, DeviceConfig, apply_overrides,
                      default_config, dumps, load_file, validate)
 from .dot_spectrum import eigenlevels
-from .fano import SpinOrientation, mode_transmission
+from .fano import (SpinOrientation, mode_transmission,
+                   spin_channel_reflection)
 from .landauer import iv_curves, model_from_config
 from .lattice_oracle import (BandEdgeError, ExtractionError, OracleLattice,
                              compare_to_fano)
@@ -116,8 +117,11 @@ def _run_sweep(cfg: DeviceConfig, args, out: Path) -> list[Path]:
     for i, m in enumerate(cfg.modes):
         tp = mode_transmission(grid, model_par, i)
         ta = mode_transmission(grid, model_anti, i)
-        is_open = grid >= m.bottom_energy
-        mode_columns = [tp, ta, is_open * (1.0 - tp), is_open * (1.0 - ta)]
+        # R = w (1 - T_fano) on the open coupled mode, so it halves exactly
+        is_open = (grid >= m.bottom_energy) & m.coupled
+        mode_columns = [tp, ta,
+                        is_open * spin_channel_reflection(grid, model_par),
+                        is_open * spin_channel_reflection(grid, model_anti)]
         columns += mode_columns
         totals = [s + c for s, c in zip(totals, mode_columns)]
     rows = np.column_stack(columns + totals).tolist()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
-from .constants import rashba_beta
+from .constants import CONSTANTS, FERMI_TAIL_KT, rashba_beta
 
 BETA_CONSISTENCY_RTOL = 1e-9
 #: Smallest accepted broadening, meV: below it Gamma^2 underflows.
@@ -114,6 +114,22 @@ def validate(config: DeviceConfig) -> DeviceConfig:
         errs.append("beta: required (directly or via alpha_R and D)")
     elif not _finite(beta):
         errs.append(f"beta: must be finite, got {beta}")
+
+    # as for Gamma: (10 x)^2 of every energy and bias x stays finite, and
+    # so does the square of any difference of them the program forms
+    limit = 0.1 / GAMMA_MIN
+    energies = [(k, getattr(config, k))
+                for k in ("eps1", "U_C", "J", "mu_source", "V_sd")]
+    energies += [(f"modes[{i}].bottom_energy", m.bottom_energy)
+                 for i, m in enumerate(config.modes)] + [("beta", beta)]
+    for key, v in energies:
+        if _finite(v) and abs(v) > limit:
+            errs.append(f"{key}: must be in [-{limit:g}, {limit:g}] "
+                        f"(meV, or mV for V_sd), got {v}")
+    if _finite(config.temperature) and (
+            FERMI_TAIL_KT * CONSTANTS.k_B * config.temperature > limit):
+        errs.append(f"temperature: {FERMI_TAIL_KT:g} k_B T must be <= "
+                    f"{limit:g} meV, got {config.temperature} K")
 
     if errs:
         raise ConfigError(errs)

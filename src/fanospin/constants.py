@@ -34,6 +34,10 @@ CURRENT_PER_MEV = CONSTANTS.G0_spin_polarized * 1e-3
 # when judging whether a spin-orbit splitting is large.
 ZEEMAN_REFERENCE_MEV = 0.3
 
+#: The Fermi tails beyond this many kT from every chemical potential weigh
+#: e^-40 ~ 4e-18 of the bias window and are left out.
+FERMI_TAIL_KT = 40.0
+
 
 def thermal_energy(temperature: float) -> float:
     """k_B * T in meV. Raises ValueError for negative temperature."""

@@ -49,7 +49,7 @@ class TransmissionModel:
     def weight(self) -> float:
         return CHANNEL_WEIGHT[self.orientation]
 
-    @property
+    @cached_property
     def coupled_index(self) -> int:
         return next(i for i, m in enumerate(self.modes) if m.coupled)
 

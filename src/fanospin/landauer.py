@@ -7,15 +7,16 @@ spin-channel weight, so the antiparallel deficit is half the parallel one
 to machine precision.  At T = 0 the deficit is the closed form
 ``fano.dip_integral``.
 
-At T > 0 the deficit and the dip's share of the linear conductance are
-integrated by one fixed rule: composite 16-point Gauss-Legendre on
-[max(bottom, mu_lo - 40 kT), mu_hi + 40 kT], with panel breakpoints graded
+At T > 0 every deficit and every dip share of the linear conductance is a
+row of one graded rule, ``_graded_rule``: composite 16-point Gauss-Legendre
+on the row's [max(bottom, mu_lo - 40 kT), mu_hi + 40 kT], breakpoints graded
 geometrically (ratio 2) toward E_res from the scale Gamma and toward each
 chemical potential from the scale pi kT.  The integrand's poles sit at
 E_res +- i Gamma and mu + i pi kT (2n + 1); no panel is wider than its
-distance to the nearest one, so the rule is exact to rounding.  The
-breakpoints depend only on the sorted pair of chemical potentials, so
-I(-V) = -I(V) holds exactly.
+distance to the nearest one, so the rule is exact to rounding.  A row
+depends only on its sorted pair of chemical potentials, so I(-V) = -I(V)
+holds exactly, and an I-V curve is one call whose dI/dV is the exact
+[G(mu_s) + G(mu_d)] / 2.
 
 A sharp window, where every mu +- 40 kT rounds to mu (T = 0 K included),
 is an exact special case evaluated in closed form, not a small-T limit.
@@ -28,17 +29,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import CONSTANTS, CURRENT_PER_MEV, thermal_energy
+from .constants import (CONSTANTS, CURRENT_PER_MEV, FERMI_TAIL_KT,
+                        thermal_energy)
 from .config import DeviceConfig, Spin
-from .dot_spectrum import ResonanceSpec, target_level
-from .fano import (CHANNEL_WEIGHT, SpinOrientation, TransmissionModel,
-                   dip_integral, total_transmission)
-
-#: The Fermi tails beyond this many kT from every chemical potential weigh
-#: e^-40 ~ 4e-18 of the bias window and are left out.
-FERMI_TAIL_KT = 40.0
+from .dot_spectrum import target_level
+from .fano import (SpinOrientation, TransmissionModel, dip_integral,
+                   total_transmission)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: Node offsets and weights on a panel of unit width, as columns.
+_GL_STEPS, _GL_WEIGHTS = (_GL_NODES[:, None] + 1) / 2, _GL_WEIGHTS[:, None] / 2
 
 
 @dataclass(frozen=True)
@@ -92,82 +92,102 @@ def _sharp(kT: float, *mus: float) -> bool:
     return kT == 0 or all(mu - tail == mu == mu + tail for mu in mus)
 
 
-def _ballistic_integral(bottom: float, bias: BiasPoint) -> float:
-    """integral_bottom^inf [f_s - f_d] dE in meV, closed form."""
+def _graded_rule(model: TransmissionModel, kT: float, windows, points):
+    """Unit-weight dip integrals in meV, all rows in one pass: over each
+    window (mu_lo, mu_hi) of (1 - T_fano) (f_hi - f_lo), at each point mu
+    of (1 - T_fano) kT (-df/dE).
+
+    A row's breakpoints are its ends and E_res +- Gamma 2^k, mu +- pi kT 2^k
+    for k < n, clipped to the row.  n comes from the widest span of the
+    call; the steps past a row's own reach clip onto its ends, and zero-width
+    panels are dropped, so each row sees the panels of its one-row call and
+    bincount sums them in the same order: a row equals that call bit for bit.
+
+    The Fermi factor, sinh(d) / (cosh(c) + cosh(d)) for a window of
+    half-width d and 1 / (2 + 2 cosh(c)) at a point (c the offset from the
+    centre, in units of kT), is scaled by e^-d, so nothing cancels.
+    """
+    rows = ([(lo, hi, -math.expm1((lo - hi) / kT)) for lo, hi in windows]
+            + [(mu, mu, 1.0) for mu in points])     # numerator 1 - e^-2d
+    res, tail = model.resonance, FERMI_TAIL_KT * kT
+    bottom = model.modes[model.coupled_index].bottom_energy
+    # per row: its ends, E_res, its mu's; Fermi centre, d, 1 + e^-2d, numerator
+    table = np.array([(max(bottom, lo - tail), hi + tail, res.energy, lo, hi,
+                       0.5 * (lo + hi), 0.5 * (hi - lo),
+                       1.0 + math.exp((lo - hi) / kT), numerator)
+                      for lo, hi, numerator in rows]).T
+    n = 1 + max(0, math.ceil(
+        math.log2(table[:5].max() - table[:5].min())
+        - math.log2(min(res.Gamma, math.pi * kT))))
+    with np.errstate(over="ignore"):    # inf steps clip; e^inf gives f = 0
+        steps = np.ldexp([[res.Gamma], [math.pi * kT], [math.pi * kT]],
+                         np.arange(n))[:, :, None] * [-1.0, 1.0]
+        ladder = (table[2:5].T[..., None, None] + steps).reshape(len(rows), -1)
+        edges = np.concatenate((table[:5].T, ladder), 1)
+        edges = np.sort(np.minimum(np.maximum(edges, table[0, :, None]),
+                                   table[1, :, None]), axis=1)
+        width = edges[:, 1:] - edges[:, :-1]
+        row, col = np.nonzero(width)
+        width = width[row, col]
+        centre, d, scale = table[5:8, row]
+        E = edges[row, col] + width * _GL_STEPS          # (16, panels)
+        a, eps = np.abs(E - centre), E - res.energy
+        den = (eps * eps + res.Gamma * res.Gamma) * (
+            np.exp((a - d) / kT) + np.exp((a + d) / -kT) + scale)
+    sums = np.bincount(row[None].repeat(16, 0).ravel(),
+                       (_GL_WEIGHTS * width / den).ravel(), len(rows))
+    return sums * (res.Gamma * res.Gamma * (1.0 - abs(res.q) ** 2)) * table[8]
+
+
+def _integrals(model: TransmissionModel, kT: float, biases, mus):
+    """Unit-weight deficit of each bias in meV, signed like it, and dip
+    share of G / G0 at each mu (None if sharp: G = G0 T(mu)); closed forms
+    where sharp, else rows of one ``_graded_rule`` call."""
+    res = model.resonance
+    bottom = model.modes[model.coupled_index].bottom_energy
+    windows = [(b.mu_drain, b.mu_source, 1.0) if b.mu_source >= b.mu_drain
+               else (b.mu_source, b.mu_drain, -1.0) for b in biases]
+    wide = [(lo, hi) for lo, hi, _ in windows if not _sharp(kT, lo, hi)]
+    points = [mu for mu in mus if not _sharp(kT, mu)]
+    graded = iter(_graded_rule(model, kT, wide, points)
+                  if wide or points else ())
+    deficits = []
+    for lo, hi, sign in windows:
+        if not _sharp(kT, lo, hi):
+            deficits.append(sign * float(next(graded)))
+        else:
+            lo = max(bottom, lo)
+            deficits.append(sign * dip_integral(res, lo, hi) if lo < hi
+                            else 0.0)
+    return deficits, [None if _sharp(kT, mu) else float(next(graded)) / kT
+                      for mu in mus]
+
+
+def _ballistic(bias: BiasPoint, model: TransmissionModel) -> float:
+    """The current with the dot decoupled, A, in closed form."""
     mu_s, mu_d = bias.mu_source, bias.mu_drain
     kT = thermal_energy(bias.temperature)
     if _sharp(kT, mu_s, mu_d):
-        return max(0.0, mu_s - bottom) - max(0.0, mu_d - bottom)
+        return CURRENT_PER_MEV * sum(
+            max(0.0, mu_s - m.bottom_energy) - max(0.0, mu_d - m.bottom_energy)
+            for m in model.modes)
     # integral of f from bottom to inf = kT * softplus((mu - bottom)/kT)
-    return _softplus_energy(mu_s, bottom, kT) - _softplus_energy(
-        mu_d, bottom, kT)
+    return CURRENT_PER_MEV * sum(
+        _softplus_energy(mu_s, m.bottom_energy, kT)
+        - _softplus_energy(mu_d, m.bottom_energy, kT) for m in model.modes)
 
 
-def _graded(center: float, scale: float, lo: float, hi: float):
-    """center and center +- scale * 2^k, k = 0, 1, ..., past both of lo, hi,
-    built downward by halving so that none overflows."""
-    reach = max(center - lo, hi - center)
-    n = max(0, math.ceil(math.log2(reach) - math.log2(scale))) + 1
-    steps = math.ldexp(scale, n - 1) * np.exp2(-np.arange(n))
-    return np.concatenate(([center], center - steps, center + steps))
-
-
-def _graded_quadrature(integrand, lo: float, hi: float, res: ResonanceSpec,
-                       mus, kT: float) -> float:
-    """integral_lo^hi integrand(E) dE by composite 16-point Gauss-Legendre,
-    panels graded toward E_res (scale Gamma) and each mu (scale pi kT)."""
-    if lo >= hi:
-        return 0.0
-    edges = np.unique(np.clip(np.concatenate(
-        [(lo, hi), _graded(res.energy, res.Gamma, lo, hi)]
-        + [_graded(mu, math.pi * kT, lo, hi) for mu in mus]), lo, hi))
-    half = 0.5 * np.diff(edges)[:, None]
-    nodes = edges[:-1, None] + half * (1.0 + _GL_NODES)
-    return float((half * _GL_WEIGHTS).ravel() @ integrand(nodes.ravel()))
-
-
-def _dip(E, res: ResonanceSpec):
-    """1 - T_fano(E - E_res), a Lorentzian as Re q = 0, on an array."""
-    G = res.Gamma
-    eps = E - res.energy
-    return G * (G * (1.0 - abs(res.q) ** 2)) / (eps * eps + G * G)
-
-
-def _fermi_window(E, mu_lo: float, mu_hi: float, kT: float):
-    """f(E, mu_hi) - f(E, mu_lo) = sinh(d) / (cosh(c) + cosh(d)), with c the
-    offset from the window centre and d its half-width in units of kT;
-    scaled by e^-d, so nothing overflows or cancels."""
-    h = 0.5 * (mu_hi - mu_lo)
-    a = np.abs(E - (mu_lo + h))
-    with np.errstate(over="ignore"):
-        return -math.expm1(-2.0 * h / kT) / (
-            np.exp((a - h) / kT) + np.exp(-(a + h) / kT) + 1.0
-            + math.exp(-2.0 * h / kT))
-
-
-def _deficit_integral(model: TransmissionModel, bias: BiasPoint) -> float:
-    """integral (1 - T_fano)(E) [f_s - f_d] dE over the coupled mode, meV.
-
-    Unit channel weight; callers scale by w.  Returned with the sign of the
-    bias (negative for reverse bias).
-    """
-    res = model.resonance
-    bottom = model.modes[model.coupled_index].bottom_energy
-    mu_lo = min(bias.mu_source, bias.mu_drain)
-    mu_hi = max(bias.mu_source, bias.mu_drain)
-    sign = 1.0 if bias.mu_source >= bias.mu_drain else -1.0
-    kT = thermal_energy(bias.temperature)
-
-    if _sharp(kT, mu_lo, mu_hi):
-        lo = max(bottom, mu_lo)
-        if lo >= mu_hi:
-            return 0.0
-        return sign * dip_integral(res, lo, mu_hi)
-
-    return sign * _graded_quadrature(
-        lambda E: _dip(E, res) * _fermi_window(E, mu_lo, mu_hi, kT),
-        max(bottom, mu_lo - FERMI_TAIL_KT * kT), mu_hi + FERMI_TAIL_KT * kT,
-        res, (mu_lo, mu_hi), kT)
+def _conductance(model: TransmissionModel, kT: float, mu: float,
+                 dip) -> float:
+    """The linear conductance in S from the dip share of ``_integrals``:
+    G0 [sum_m f(bottom_m) - w dip], or G0 T(mu) where the window is sharp."""
+    if dip is None:
+        return CONSTANTS.G0_spin_polarized * total_transmission(mu, model)
+    occupied = 0.0
+    for x in ((m.bottom_energy - mu) / kT for m in model.modes):
+        e = math.exp(-abs(x))           # f(bottom), with no overflow
+        occupied += (e if x > 0 else 1.0) / (1.0 + e)
+    return CONSTANTS.G0_spin_polarized * (occupied - model.weight * dip)
 
 
 def current_components(bias: BiasPoint,
@@ -178,10 +198,9 @@ def current_components(bias: BiasPoint,
     currents), so weight scaling and the parallel/antiparallel ratio are
     exact.
     """
-    ballistic = sum(_ballistic_integral(m.bottom_energy, bias)
-                    for m in model.modes)
-    deficit = model.weight * _deficit_integral(model, bias)
-    return CURRENT_PER_MEV * ballistic, CURRENT_PER_MEV * deficit
+    (deficit,), _ = _integrals(model, thermal_energy(bias.temperature),
+                               [bias], [])
+    return _ballistic(bias, model), model.weight * (CURRENT_PER_MEV * deficit)
 
 
 def current(bias: BiasPoint, model: TransmissionModel) -> float:
@@ -196,21 +215,8 @@ def linear_conductance(model: TransmissionModel, temperature: float,
     G0 [sum_m f(bottom_m) - w integral_bottom^inf (1 - T_fano)(-df/dE) dE]
     on the graded rule.  A k_B T below the float spacing at mu is a step."""
     kT = thermal_energy(temperature)
-    if _sharp(kT, mu):
-        return CONSTANTS.G0_spin_polarized * total_transmission(mu, model)
-    res = model.resonance
-
-    def integrand(E):       # (1 - T_fano) * kT * (-df/dE)
-        x = np.exp(-np.abs(E - mu) / kT)
-        return _dip(E, res) * x / (1.0 + x) ** 2
-
-    dip = _graded_quadrature(
-        integrand, max(model.modes[model.coupled_index].bottom_energy,
-                       mu - FERMI_TAIL_KT * kT), mu + FERMI_TAIL_KT * kT,
-        res, (mu,), kT) / kT
-    ballistic = sum(float(fermi(m.bottom_energy, mu, temperature))
-                    for m in model.modes)
-    return CONSTANTS.G0_spin_polarized * (ballistic - model.weight * dip)
+    _, (dip,) = _integrals(model, kT, [], [mu])
+    return _conductance(model, kT, mu, dip)
 
 
 def optimal_bias(Gamma: float) -> float:
@@ -230,50 +236,50 @@ def model_from_config(config: DeviceConfig,
                              tuple(config.modes))
 
 
-def _bias_grid(V_grid) -> list:
+def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
+    """The ``iv_curve`` of each model: at T > 0 from one ``_graded_rule``
+    call, a deficit per nonzero bias and G at each distinct mu."""
     V_grid = list(V_grid)
-    if not V_grid:
-        raise ValueError("bias grid must be nonempty")
-    if any(b <= a for a, b in zip(V_grid, V_grid[1:])):
-        raise ValueError("bias grid must be strictly increasing")
-    return V_grid
-
-
-def _bias(config: DeviceConfig, V: float) -> BiasPoint:
-    mu0 = config.mu_source
-    return BiasPoint(mu0 + V / 2, mu0 - V / 2, config.temperature)
-
-
-def _curve(model: TransmissionModel, config: DeviceConfig, V_grid,
-           currents) -> IVCurve:
-    """IVCurve with the centered-difference G_diff of ``currents``, or on a
-    one-point grid the exact dI/dV = [G(mu_s) + G(mu_d)] / 2."""
-    if len(V_grid) >= 2:
-        G = np.gradient(np.asarray(currents),
-                        np.asarray(V_grid, dtype=float) * 1e-3)
+    if not V_grid or any(b <= a for a, b in zip(V_grid, V_grid[1:])):
+        raise ValueError("bias grid must be nonempty and strictly increasing")
+    mu0, T = config.mu_source, config.temperature
+    biases = [BiasPoint(mu0 + V / 2, mu0 - V / 2, T) for V in V_grid]
+    kT = thermal_energy(T)
+    if kT == 0:     # closed forms: ``current`` per bias, G0 T(mu) at once
+        currents = [[current(b, m) if V else 0.0
+                     for V, b in zip(V_grid, biases)] for m in models]
+        mu = np.array([(b.mu_source, b.mu_drain) for b in biases])
+        G = [CONSTANTS.G0_spin_polarized * total_transmission(mu, m)
+             for m in models]
+        G_diff = [((g[:, 0] + g[:, 1]) / 2).tolist() for g in G]
     else:
-        bias = _bias(config, V_grid[0])
-        G = [0.5 * (linear_conductance(model, bias.temperature,
-                                       bias.mu_source)
-                    + linear_conductance(model, bias.temperature,
-                                         bias.mu_drain))]
-    return IVCurve(points=tuple(
-        IVPoint(V_sd=float(v), I=float(i), G_diff=float(g))
-        for v, i, g in zip(V_grid, currents, G)))
+        mus = sorted({mu for b in biases for mu in (b.mu_source, b.mu_drain)})
+        moving = [b for V, b in zip(V_grid, biases) if V]
+        deficits, dips = _integrals(models[0], kT, moving, mus)
+        deficit = iter(deficits)
+        parts = [(_ballistic(b, models[0]), CURRENT_PER_MEV * next(deficit))
+                 if V else (0.0, 0.0) for V, b in zip(V_grid, biases)]
+        currents = [[ballistic - m.weight * d for ballistic, d in parts]
+                    for m in models]
+        G = [dict(zip(mus, (_conductance(m, kT, mu, dip)
+                            for mu, dip in zip(mus, dips)))) for m in models]
+        G_diff = [[(g[b.mu_source] + g[b.mu_drain]) / 2 for b in biases]
+                  for g in G]
+    return tuple(IVCurve(points=tuple(
+        IVPoint(V_sd=float(V), I=float(i), G_diff=float(g))
+        for V, i, g in zip(V_grid, I, dIdV)))
+        for I, dIdV in zip(currents, G_diff))
 
 
 def iv_curve(config: DeviceConfig, V_grid) -> IVCurve:
-    """Current and centered-difference differential conductance on a bias
-    grid.  The bias window is split symmetrically about mu_source:
+    """Current and exact differential conductance on a strictly increasing
+    bias grid.  The bias window is split symmetrically about mu_source:
     mu_s/d = mu_source +- V/2, which makes I(-V) = -I(V) for any
-    bias-independent transmission.  On a one-point grid G_diff is the exact
-    dI/dV = [G(mu_s) + G(mu_d)] / 2, G the linear conductance at each
-    chemical potential."""
-    V_grid = _bias_grid(V_grid)
-    model = model_from_config(config)
-    currents = [0.0 if V == 0 else current(_bias(config, V), model)
-                for V in V_grid]
-    return _curve(model, config, V_grid, currents)
+    bias-independent transmission.  G_diff is dI/dV = [G(mu_s) + G(mu_d)]
+    / 2, G the linear conductance at each chemical potential; each point
+    equals ``current`` and ``linear_conductance`` at its bias bit for bit."""
+    (curve,) = _iv_curves(config, V_grid, model_from_config(config))
+    return curve
 
 
 def iv_curves(config: DeviceConfig, V_grid) -> tuple[IVCurve, IVCurve]:
@@ -281,12 +287,6 @@ def iv_curves(config: DeviceConfig, V_grid) -> tuple[IVCurve, IVCurve]:
     integral per bias: I = ballistic - w * deficit, and w = 1/2 scales the
     deficit exactly, so each curve equals its own ``iv_curve`` bit for bit.
     """
-    V_grid = _bias_grid(V_grid)
     model = model_from_config(config, SpinOrientation.PARALLEL)
-    parts = [(0.0, 0.0) if V == 0 else
-             current_components(_bias(config, V), model) for V in V_grid]
-    return tuple(
-        _curve(replace(model, orientation=o), config, V_grid,
-               [ballistic - CHANNEL_WEIGHT[o] * deficit
-                for ballistic, deficit in parts])
-        for o in (SpinOrientation.PARALLEL, SpinOrientation.ANTIPARALLEL))
+    return _iv_curves(config, V_grid, model, replace(
+        model, orientation=SpinOrientation.ANTIPARALLEL))

@@ -14,7 +14,9 @@ from fanospin import landauer
 from fanospin.cli import main
 from fanospin.config import (GAMMA_MIN, apply_overrides, default_config,
                              dumps, validate)
-from fanospin.fano import SpinOrientation, mode_transmission
+from fanospin.constants import CONSTANTS
+from fanospin.fano import (SpinOrientation, mode_transmission,
+                          spin_channel_reflection)
 from fanospin.landauer import model_from_config
 
 
@@ -80,6 +82,46 @@ def test_malformed_override_exits_1_naming_key(tmp_path, command, override,
     assert proc.returncode == 1
     assert key in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def run_cli_strict(args):
+    """``run_cli`` with every warning an error."""
+    return subprocess.run([sys.executable, "-W", "error", "-m", "fanospin",
+                           *args], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command", ["iv", "readout"])
+@pytest.mark.parametrize("overrides, key", [
+    (["eps1=1e160", "Gamma=1e150"], "eps1"), (["temperature=7.7e153"],
+                                              "temperature")])
+def test_energy_beyond_bound_exits_1_naming_key(tmp_path, command, overrides,
+                                                key):
+    proc = run_cli_strict([command, "--out", str(tmp_path),
+                           *(a for o in overrides for a in ("--set", o))])
+    assert proc.returncode == 1
+    assert f"invalid configuration: {key}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("sign, hot", [(1.0, True), (-1.0, True),
+                                       (1.0, False)])
+def test_every_energy_at_the_bound_runs_warning_free(tmp_path, sign, hot):
+    # resonance and bias window as far apart as the bounds allow:
+    # E_res = -2.75 B and a window out to 3 B (times sign)
+    B = 0.1 / GAMMA_MIN
+    T = B / (40 * CONSTANTS.k_B) if hot else 0.0
+    while 40 * CONSTANTS.k_B * T > B:
+        T = math.nextafter(T, 0)
+    overrides = [f"{k}={sign * v!r}" for k, v in (
+        ("eps1", -B), ("U_C", -B), ("J", B), ("mu_source", B),
+        ("V_sd", -B))] + [f"beta={B!r}", f"Gamma={B!r}", f"temperature={T!r}",
+                          "modes=" + json.dumps([
+                              {"bottom_energy": -sign * B, "coupled": True},
+                              {"bottom_energy": sign * B}])]
+    for command in ("sweep", "iv", "readout"):
+        proc = run_cli_strict([command, "--out", str(tmp_path / command),
+                               *(a for o in overrides for a in ("--set", o))])
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_unphysical_q_exits_1_naming_q(tmp_path, capsys):
@@ -207,15 +249,20 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_sweep_factor_two_in_csv(tmp_path):
-    rc = main(["sweep", "--grid", "5:10:11", "--out", str(tmp_path)])
-    assert rc == 0
-    lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
-    header = lines[0].split(",")
-    i_rp, i_ra = header.index("R_parallel"), header.index("R_antiparallel")
-    for line in lines[1:]:
-        vals = line.split(",")
-        assert float(vals[i_ra]) == pytest.approx(
-            float(vals[i_rp]) / 2, abs=1e-12)
+    # every reflection column, per mode and total, halves exactly
+    three_modes = ["q=[0,0.5]", 'modes=[{"bottom_energy": 7.0, "coupled": '
+                   'true}, {"bottom_energy": 6.0}, {"bottom_energy": 8.0}]']
+    for k, overrides in enumerate(([], three_modes)):
+        out = tmp_path / str(k)
+        rc = main(["sweep", "--grid", "5:10:101", "--out", str(out),
+                   *(arg for o in overrides for arg in ("--set", o))])
+        assert rc == 0
+        cols = _csv_columns(out / "sweep.csv")
+        pairs = [(key, key.replace("R_parallel", "R_antiparallel"))
+                 for key in cols if key.startswith("R_parallel")]
+        assert ("R_parallel", "R_antiparallel") in pairs
+        for par, anti in pairs:
+            assert list(cols[anti]) == [r / 2 for r in cols[par]], par
 
 
 def test_sweep_columns_match_mode_transmission(tmp_path):
@@ -237,16 +284,19 @@ def test_sweep_columns_match_mode_transmission(tmp_path):
             col = dict(zip(header, row))
             tp = mode_transmission(E, par, i)
             ta = mode_transmission(E, anti, i)
-            is_open = E >= mode.bottom_energy
+            is_open = E >= mode.bottom_energy and mode.coupled
             assert col[f"T_parallel_mode{i}"] == tp
             assert col[f"T_antiparallel_mode{i}"] == ta
-            assert col[f"R_parallel_mode{i}"] == (1.0 - tp if is_open else 0.0)
+            assert col[f"R_parallel_mode{i}"] == (
+                spin_channel_reflection(E, par) if is_open else 0.0)
             assert col[f"R_antiparallel_mode{i}"] == (
-                1.0 - ta if is_open else 0.0)
+                spin_channel_reflection(E, anti) if is_open else 0.0)
+            assert col[f"R_parallel_mode{i}"] == pytest.approx(
+                1.0 - tp if E >= mode.bottom_energy else 0.0, abs=1e-15)
 
 
 def test_iv_integrates_each_deficit_once(tmp_path, monkeypatch):
-    calls = {"model_from_config": 0, "_deficit_integral": 0}
+    calls = {"model_from_config": 0, "_graded_rule": 0}
     for name in calls:
         original = getattr(landauer, name)
 
@@ -257,8 +307,8 @@ def test_iv_integrates_each_deficit_once(tmp_path, monkeypatch):
         monkeypatch.setattr(landauer, name, counted)
     rc = main(["iv", "--set", "temperature=4", "--out", str(tmp_path)])
     assert rc == 0
-    # 81 default biases, one of them 0
-    assert calls == {"model_from_config": 1, "_deficit_integral": 80}
+    # 81 default biases: one graded-rule pass for both orientations
+    assert calls == {"model_from_config": 1, "_graded_rule": 1}
 
 
 def test_manifest_lists_outputs(tmp_path):

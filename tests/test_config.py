@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
 from fanospin.config import (GAMMA_MIN, ConfigError, DeviceConfig, Mode,
                              apply_overrides, default_config, dumps, loads,
                              to_dict, validate)
+from fanospin.constants import CONSTANTS
 
 
 def make_raw(**overrides):
@@ -115,3 +117,33 @@ def test_gamma_whose_square_underflows_rejected():
     assert validate(make_raw(Gamma=GAMMA_MIN)).Gamma == GAMMA_MIN
     with pytest.raises(ConfigError, match="Gamma"):
         validate(make_raw(Gamma=1e-200))
+
+
+#: The bound of Gamma, which bounds every energy, the bias and 40 k_B T too.
+LIMIT = 0.1 / GAMMA_MIN
+
+
+def _accepted_at_rejected_beyond(key, name, at, beyond):
+    cfg = default_config()
+    assert validate(apply_overrides(cfg, [f"{key}={at!r}"]))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: ") as err:
+        validate(apply_overrides(cfg, [f"{key}={beyond!r}"]))
+    assert len(err.value.violations) == 1
+
+
+@pytest.mark.parametrize("key, name", [
+    ("eps1", "eps1"), ("U_C", "U_C"), ("J", "J"), ("beta", "beta"),
+    ("mu_source", "mu_source"), ("V_sd", "V_sd"),
+    ("modes.0.bottom_energy", "modes[0].bottom_energy")])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_energy_beyond_bound_rejected_by_key(key, name, sign):
+    _accepted_at_rejected_beyond(key, name, sign * LIMIT,
+                                 sign * math.nextafter(LIMIT, math.inf))
+
+
+def test_temperature_beyond_bound_rejected():
+    T = LIMIT / (40 * CONSTANTS.k_B)
+    while 40 * CONSTANTS.k_B * T > LIMIT:
+        T = math.nextafter(T, 0)
+    _accepted_at_rejected_beyond("temperature", "temperature", T,
+                                 math.nextafter(T, math.inf))

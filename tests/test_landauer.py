@@ -12,7 +12,7 @@ from fanospin.dot_spectrum import ResonanceSpec
 from fanospin.fano import SpinOrientation, TransmissionModel
 from fanospin.landauer import (BiasPoint, current, current_components, fermi,
                                iv_curve, iv_curves, linear_conductance,
-                               optimal_bias)
+                               model_from_config, optimal_bias)
 
 G0 = CONSTANTS.G0_spin_polarized
 
@@ -201,6 +201,57 @@ def test_iv_curves_equal_each_orientation_bit_for_bit(T, grid):
     assert par == iv_curve(dataclasses.replace(cfg, dot_spin=Spin.UP), grid)
     assert anti == iv_curve(dataclasses.replace(cfg, dot_spin=Spin.DOWN),
                             grid)
+
+
+#: T = 0, a temperature whose k_B T is below every float spacing, and
+#: 0.1-100 K.
+iv_temperatures = st.one_of(st.sampled_from([0.0, 1e-300]),
+                            st.floats(-1, 2).map(lambda k: 10.0 ** k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=iv_temperatures, q=st.floats(0, 1), Gamma=st.floats(0.05, 3.0),
+       offset=st.floats(-2.0, 2.0), two_modes=st.booleans(),
+       half_width=st.floats(0.01, 6.0), n=st.integers(1, 6))
+@example(T=0.1, q=0.0, Gamma=1.0, offset=0.0, two_modes=False,
+         half_width=2.0, n=3)
+def test_iv_curve_is_current_and_exact_dIdV_pointwise(
+        T, q, Gamma, offset, two_modes, half_width, n):
+    # the one-pass kernel against its one-row calls, bit for bit
+    modes = (Mode(0.0, coupled=True),) + ((Mode(7.6),) if two_modes else ())
+    cfg = validate(DeviceConfig(
+        eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=Gamma, q=complex(0, q),
+        mu_source=7.25 + offset, V_sd=1.0, temperature=T, modes=modes))
+    pos = [half_width * k / n for k in range(1, n + 1)]
+    grid = [-v for v in reversed(pos)] + [0.0] + pos
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = iv_curve(cfg, grid)
+        curves = iv_curves(cfg, grid)
+    model = model_from_config(cfg)
+    I = [p.I for p in curve.points]
+    assert I == [-i for i in reversed(I)]
+    for V, p in zip(grid, curve.points):
+        bias = BiasPoint(cfg.mu_source + V / 2, cfg.mu_source - V / 2, T)
+        assert p.V_sd == V
+        assert p.I == current(bias, model)
+        assert p.G_diff == (linear_conductance(model, T, bias.mu_source)
+                            + linear_conductance(model, T, bias.mu_drain)) / 2
+    assert curves == (iv_curve(dataclasses.replace(cfg, dot_spin=Spin.UP),
+                               grid),
+                      iv_curve(dataclasses.replace(cfg, dot_spin=Spin.DOWN),
+                               grid))
+
+
+def test_iv_zero_bias_conductance_on_the_resonance_is_zero():
+    # T = 0, q = 0 and mu on E_res: T(mu) = 0, so dI/dV(0) = 0 exactly
+    cfg = validate(DeviceConfig(
+        eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0, mu_source=7.25,
+        V_sd=1.0, temperature=0.0, modes=(Mode(0.0, coupled=True),)))
+    grid = np.linspace(-2.0, 2.0, 81)
+    curve = iv_curve(cfg, (grid - grid[::-1]) / 2)
+    assert curve.points[40].V_sd == 0.0
+    assert curve.points[40].G_diff == 0.0
 
 
 def test_iv_curve_rejects_bad_grid():
