@@ -38,8 +38,6 @@ EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 EXIT_NOINPUT = 66
 
-SUBCOMMANDS = ("levels", "sweep", "iv", "readout", "oracle")
-
 
 def _fmt(x) -> str:
     """Full round-trip decimal representation, locale-independent."""
@@ -201,6 +199,7 @@ RUNNERS = {
     "readout": _run_readout,
     "oracle": _run_oracle,
 }
+SUBCOMMANDS = tuple(RUNNERS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,15 +265,12 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         outputs = RUNNERS[args.subcommand](cfg, args, out)
-    except (ConfigError, ValueError) as exc:
-        if isinstance(exc, (BandEdgeError,)):
-            print(f"fanospin: numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        print(f"fanospin: invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ExtractionError, ArithmeticError) as exc:
+    except (BandEdgeError, ExtractionError, ArithmeticError) as exc:
         print(f"fanospin: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ConfigError, ValueError) as exc:
+        print(f"fanospin: invalid parameters: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     manifest = {
         "subcommand": args.subcommand,

@@ -1,8 +1,16 @@
 """Device configuration: validated physical parameters in explicit units.
 
-All downstream modules consume only a validated ``DeviceConfig``.  The JSON
-representation uses keys matching the field names; the complex Fano factor
-``q`` is stored as a two-element array ``[re, im]``.
+All downstream modules consume only a validated ``DeviceConfig``.
+``validate`` gives each number one closed interval, checked by a single
+comparison, so every bad value is one violation named by its key: each
+energy (``eps1``, ``U_C``, ``J``, ``mu_source``, every mode's
+``bottom_energy``, ``beta``) and ``V_sd`` lie within +-``LIMIT``, ``Gamma``
+in [``GAMMA_MIN``, ``LIMIT``] and 40 k_B T in [0, ``LIMIT``]; ``alpha_R``
+must be finite and ``D`` finite and > 0 whenever given.
+
+The JSON representation uses the field names as keys, so each key is
+declared once, by its field; the complex Fano factor ``q`` is stored as a
+two-element array ``[re, im]``.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
 
@@ -67,111 +75,80 @@ class DeviceConfig:
         return next(m for m in self.modes if m.coupled)
 
 
+#: Largest magnitude of every energy and bias, and of 40 k_B T, meV (mV for
+#: the bias): as for Gamma, (10 x)^2 of each, and the square of any
+#: difference of them the program forms, stays finite.
+LIMIT = 0.1 / GAMMA_MIN
+_MAX = sys.float_info.max
+
+
 def validate(config: DeviceConfig) -> DeviceConfig:
     """Check every invariant; derive beta from alpha_R/D when absent.
 
-    Raises ConfigError listing each violated field by name.
+    Each number must lie in its closed interval, tested by one comparison
+    that NaN, an infinity past an end and a non-number all fail, so a bad
+    number is one violation, named by its key.  Raises ConfigError listing
+    every violation.
     """
     errs: list[str] = []
 
-    if not GAMMA_MIN <= config.Gamma <= 0.1 / GAMMA_MIN:
-        errs.append(f"Gamma: must be in [{GAMMA_MIN:g}, {0.1 / GAMMA_MIN:g}]"
-                    f" meV ((10 Gamma)^2 must be finite), got {config.Gamma}")
-    if config.temperature < 0:
-        errs.append(f"temperature: must be >= 0 K, got {config.temperature}")
+    def inside(key, value, lo, hi, unit, scale=1.0) -> bool:
+        try:
+            if lo <= scale * value <= hi:
+                return True
+        except (TypeError, OverflowError):
+            pass
+        errs.append(f"{key}: must be in [{lo:g}, {hi:g}] {unit}, got {value}")
+        return False
+
+    energy = (-LIMIT, LIMIT, "meV")
+    for key in ("eps1", "U_C", "J", "mu_source"):
+        inside(key, getattr(config, key), *energy)
+    for i, m in enumerate(config.modes):
+        inside(f"modes[{i}].bottom_energy", m.bottom_energy, *energy)
+    inside("V_sd", config.V_sd, -LIMIT, LIMIT, "mV")
+    inside("Gamma", config.Gamma, GAMMA_MIN, LIMIT, "meV")
+    inside("temperature", config.temperature, 0.0, LIMIT,
+           f"meV as {FERMI_TAIL_KT:g} k_B T (T in K)",
+           FERMI_TAIL_KT * CONSTANTS.k_B)
+    # alpha_R and D are checked whenever given; beta derives from them when
+    # both are given and inside
+    pair = (config.alpha_R, config.D)
+    usable = [v is None or inside(key, v, lo, hi, unit)
+              for key, v, lo, hi, unit in (
+                  ("alpha_R", config.alpha_R, -_MAX, _MAX, "meV nm"),
+                  ("D", config.D, math.ulp(0.0), _MAX, "nm"))]
+    beta = derived = config.beta
+    if None not in pair and all(usable):
+        derived = rashba_beta(*pair)
+        if beta is None:
+            beta = derived
+    if beta is None:
+        if None in pair:    # else alpha_R or D is reported already
+            errs.append("beta: required (directly or via alpha_R and D)")
+    elif inside("beta", beta, *energy) and not math.isclose(
+            beta, derived, rel_tol=BETA_CONSISTENCY_RTOL):
+        errs.append(f"beta: {beta} inconsistent with alpha_R/D = {derived}")
+
     if not (config.q.real == 0 and abs(config.q) <= 1):
         errs.append(f"q: must have Re q = 0 and |q| <= 1 (else T > 1 "
                     f"somewhere), got {config.q}")
-
     n_coupled = sum(1 for m in config.modes if m.coupled)
     if len(config.modes) == 0:
         errs.append("modes: at least one mode required")
     if n_coupled != 1:
         errs.append(f"modes: exactly one mode must be coupled, got {n_coupled}")
 
-    for name in ("eps1", "U_C", "J", "Gamma", "mu_source", "V_sd",
-                 "temperature"):
-        v = getattr(config, name)
-        if not _finite(v):
-            errs.append(f"{name}: must be finite, got {v}")
-    for i, m in enumerate(config.modes):
-        if not _finite(m.bottom_energy):
-            errs.append(f"modes[{i}].bottom_energy: must be finite")
-
-    beta = config.beta
-    if config.alpha_R is not None and config.D is not None:
-        if config.D <= 0:
-            errs.append(f"D: must be > 0 nm, got {config.D}")
-        else:
-            derived = rashba_beta(config.alpha_R, config.D)
-            if beta is None:
-                beta = derived
-            elif abs(beta - derived) > BETA_CONSISTENCY_RTOL * max(
-                    abs(derived), 1e-300):
-                errs.append(
-                    f"beta: {beta} inconsistent with alpha_R/D = {derived}")
-    if beta is None:
-        errs.append("beta: required (directly or via alpha_R and D)")
-    elif not _finite(beta):
-        errs.append(f"beta: must be finite, got {beta}")
-
-    # as for Gamma: (10 x)^2 of every energy and bias x stays finite, and
-    # so does the square of any difference of them the program forms
-    limit = 0.1 / GAMMA_MIN
-    energies = [(k, getattr(config, k))
-                for k in ("eps1", "U_C", "J", "mu_source", "V_sd")]
-    energies += [(f"modes[{i}].bottom_energy", m.bottom_energy)
-                 for i, m in enumerate(config.modes)] + [("beta", beta)]
-    for key, v in energies:
-        if _finite(v) and abs(v) > limit:
-            errs.append(f"{key}: must be in [-{limit:g}, {limit:g}] "
-                        f"(meV, or mV for V_sd), got {v}")
-    if _finite(config.temperature) and (
-            FERMI_TAIL_KT * CONSTANTS.k_B * config.temperature > limit):
-        errs.append(f"temperature: {FERMI_TAIL_KT:g} k_B T must be <= "
-                    f"{limit:g} meV, got {config.temperature} K")
-
     if errs:
         raise ConfigError(errs)
     return replace(config, beta=beta)
 
 
-def _finite(x) -> bool:
-    try:
-        return abs(x) != float("inf") and x == x
-    except TypeError:
-        return False
-
-
 # ---------------------------------------------------------------------------
-# JSON round trip
+# JSON round trip: the keys are DeviceConfig's field names; a None field is
+# left out, and a field without a default is required.
 
-def to_dict(config: DeviceConfig) -> dict:
-    d = {
-        "eps1": config.eps1,
-        "U_C": config.U_C,
-        "J": config.J,
-        "Gamma": config.Gamma,
-        "mu_source": config.mu_source,
-        "V_sd": config.V_sd,
-        "temperature": config.temperature,
-        "modes": [{"bottom_energy": m.bottom_energy, "coupled": m.coupled}
-                  for m in config.modes],
-        "q": [config.q.real, config.q.imag],
-        "dot_spin": config.dot_spin.value,
-    }
-    if config.beta is not None:
-        d["beta"] = config.beta
-    if config.alpha_R is not None:
-        d["alpha_R"] = config.alpha_R
-    if config.D is not None:
-        d["D"] = config.D
-    return d
-
-
-_REQUIRED_NUMBERS = ("eps1", "U_C", "J", "Gamma", "mu_source", "V_sd",
-                     "temperature")
-_OPTIONAL_NUMBERS = ("beta", "alpha_R", "D")
+_FIELDS = fields(DeviceConfig)
 
 
 def _modes(raw) -> tuple[Mode, ...]:
@@ -187,36 +164,46 @@ def _q(raw) -> complex:
     return complex(raw)
 
 
+#: JSON form of the fields that are not plain numbers, and its parsers
+#: (float for every other field).
+_ENCODE = {"modes": lambda modes: [dict(vars(m)) for m in modes],
+           "q": lambda q: [q.real, q.imag],
+           "dot_spin": lambda spin: spin.value}
+_DECODE = {"modes": _modes, "q": _q, "dot_spin": Spin}
+
+
+def to_dict(config: DeviceConfig) -> dict:
+    return {k: _ENCODE[k](v) if k in _ENCODE else v
+            for k, v in vars(config).items() if v is not None}
+
+
 def from_dict(d: dict) -> DeviceConfig:
     """Build an unvalidated config; every bad value is reported by key."""
     if not isinstance(d, dict):
         raise ConfigError([f"config: expected a JSON object, got "
                            f"{type(d).__name__}"])
-    known = {*_REQUIRED_NUMBERS, *_OPTIONAL_NUMBERS, "modes", "q", "dot_spin"}
-    unknown = set(d) - known
+    unknown = set(d) - {f.name for f in _FIELDS}
     if unknown:
         raise ConfigError([f"{k}: unknown key" for k in sorted(unknown)])
-    missing = [k for k in _REQUIRED_NUMBERS + ("modes",) if d.get(k) is None]
+    missing = [f.name for f in _FIELDS
+               if f.default is MISSING and d.get(f.name) is None]
     if missing:
         raise ConfigError([f"{k}: required" for k in missing])
     errs: list[str] = []
 
-    def parse(key, convert, default=None):
-        raw = d.get(key)
+    def parse(f):
+        raw = d.get(f.name)
         if raw is None:
-            return default
+            return f.default
         try:
-            return convert(raw)
+            return _DECODE.get(f.name, float)(raw)
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
-            errs.append(f"{key}: {exc}")
+            errs.append(f"{f.name}: {exc}")
 
-    fields = {k: parse(k, float)
-              for k in _REQUIRED_NUMBERS + _OPTIONAL_NUMBERS}
-    fields.update(modes=parse("modes", _modes), q=parse("q", _q, 0j),
-                  dot_spin=parse("dot_spin", Spin, Spin.UP))
+    values = {f.name: parse(f) for f in _FIELDS}
     if errs:
         raise ConfigError(errs)
-    return DeviceConfig(**fields)
+    return DeviceConfig(**values)
 
 
 def dumps(config: DeviceConfig) -> str:

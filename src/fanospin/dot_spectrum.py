@@ -35,6 +35,9 @@ from .config import ConfigError, DeviceConfig
 
 DEGENERACY_TOL = 1e-10          # meV, for grouping coincident levels
 CHARACTER_TIE_TOL = 1e-9        # triplet-probability tie -> Mixed
+#: A splitting counts as resolved above the broadening when it is at least
+#: this many Gamma (the non-demolition verdict).
+VERDICT_MARGIN = 3.0
 
 BASIS = tuple(
     (l1z, s0z, s1z)
@@ -85,7 +88,6 @@ class ResonanceSpec:
 class MarginReport:
     satisfied: bool
     ratio: float                 # splitting / Gamma
-    strictness: float
 
 
 @dataclass(frozen=True)
@@ -197,25 +199,18 @@ def target_level(config: DeviceConfig) -> ResonanceSpec:
     return ResonanceSpec(energy=E_res, Gamma=G, q=config.q)
 
 
-def spin_flip_blocked(config: DeviceConfig,
-                      strictness: float = 3.0) -> MarginReport:
+def spin_flip_blocked(config: DeviceConfig) -> MarginReport:
     """Spin flips are energetically forbidden when the spin-orbit splitting
-    dominates the level broadening: |beta| >= strictness * Gamma."""
-    if strictness <= 0:
-        raise ValueError("strictness must be > 0")
+    dominates the level broadening: |beta| >= VERDICT_MARGIN * Gamma."""
     ratio = abs(config.beta_value) / config.Gamma
-    return MarginReport(satisfied=ratio >= strictness, ratio=ratio,
-                        strictness=strictness)
+    return MarginReport(satisfied=ratio >= VERDICT_MARGIN, ratio=ratio)
 
 
-def levels_distinguishable(config: DeviceConfig,
-                           strictness: float = 3.0) -> MarginReport:
-    """Singlet and triplet resonances resolve when |J| >= strictness * Gamma."""
-    if strictness <= 0:
-        raise ValueError("strictness must be > 0")
+def levels_distinguishable(config: DeviceConfig) -> MarginReport:
+    """Singlet and triplet resonances resolve when
+    |J| >= VERDICT_MARGIN * Gamma."""
     ratio = abs(config.J) / config.Gamma
-    return MarginReport(satisfied=ratio >= strictness, ratio=ratio,
-                        strictness=strictness)
+    return MarginReport(satisfied=ratio >= VERDICT_MARGIN, ratio=ratio)
 
 
 def spin_flip_time(J: float) -> SpinFlipTime:

@@ -20,8 +20,9 @@ from enum import Enum
 
 from .constants import ZEEMAN_REFERENCE_MEV
 from .config import DeviceConfig
-from .dot_spectrum import (MarginReport, SpinFlipTime, levels_distinguishable,
-                           spin_flip_blocked, spin_flip_time)
+from .dot_spectrum import (VERDICT_MARGIN, MarginReport, SpinFlipTime,
+                           levels_distinguishable, spin_flip_blocked,
+                           spin_flip_time)
 from .fano import CHANNEL_WEIGHT, SpinOrientation, mean_reflection
 from .landauer import (BiasPoint, current_components, linear_conductance,
                        model_from_config, optimal_bias)
@@ -84,8 +85,7 @@ class NondemolitionSummary:
     beta_vs_zeeman: str
 
 
-def readout_report(config: DeviceConfig,
-                   strictness: float = 3.0) -> ReadoutReport:
+def readout_report(config: DeviceConfig) -> ReadoutReport:
     model_par = model_from_config(config, SpinOrientation.PARALLEL)
     bias = BiasPoint(mu_source=config.mu_source,
                      mu_drain=config.mu_source - config.V_sd,
@@ -103,9 +103,8 @@ def readout_report(config: DeviceConfig,
         contrast=rel(d_par - d_anti),
         relative_decrease_parallel=rel(d_par),
         relative_decrease_antiparallel=rel(d_anti),
-        flip_blocked=spin_flip_blocked(config, strictness).satisfied,
-        levels_distinguishable=levels_distinguishable(
-            config, strictness).satisfied,
+        flip_blocked=spin_flip_blocked(config).satisfied,
+        levels_distinguishable=levels_distinguishable(config).satisfied,
         optimal_V=optimal_bias(config.Gamma),
         mean_reflection_dip_window=mean_reflection(
             model_par, (res.energy - res.Gamma, res.energy + res.Gamma)),
@@ -131,21 +130,20 @@ def n_qubit_reflection(model: ScalingModel) -> NQubitReflection:
     return NQubitReflection(math.tanh(N * math.atanh(math.sqrt(R))) ** 2)
 
 
-def nondemolition_summary(config: DeviceConfig,
-                          strictness: float = 3.0) -> NondemolitionSummary:
+def nondemolition_summary(config: DeviceConfig) -> NondemolitionSummary:
     """Verdict: the readout is non-demolishing when spin flips are
     energetically blocked and the exchange-split levels are resolvable."""
-    blocked = spin_flip_blocked(config, strictness)
-    resolved = levels_distinguishable(config, strictness)
+    blocked = spin_flip_blocked(config)
+    resolved = levels_distinguishable(config)
     reasons = []
     if not blocked.satisfied:
         reasons.append(
             f"spin flip energetically allowed: |beta|/Gamma = "
-            f"{blocked.ratio:.4g} < {strictness:g}")
+            f"{blocked.ratio:.4g} < {VERDICT_MARGIN:g}")
     if not resolved.satisfied:
         reasons.append(
             f"exchange-split levels unresolved: |J|/Gamma = "
-            f"{resolved.ratio:.4g} < {strictness:g}")
+            f"{resolved.ratio:.4g} < {VERDICT_MARGIN:g}")
     if not reasons:
         reasons.append("spin flip blocked and levels resolved")
     beta = abs(config.beta_value)

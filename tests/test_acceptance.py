@@ -201,8 +201,8 @@ def test_criterion_11_qnd_predicates():
     not_blocked = make_config(beta=0.3, Gamma=1.0)
 
     def check():
-        assert spin_flip_blocked(blocked, 3.0).satisfied
-        assert not spin_flip_blocked(not_blocked, 3.0).satisfied
+        assert spin_flip_blocked(blocked).satisfied
+        assert not spin_flip_blocked(not_blocked).satisfied
 
     report(11, 1e-3, timed_best_of(check),
            "beta = 3 meV blocked, beta = 0.3 meV not, at Gamma = 1 meV")

@@ -401,3 +401,12 @@ def test_q_and_gamma_overrides_through_cli(re, im, Gamma):
         report = json.loads((out / "readout" / "readout.json").read_text())
         assert (report["delta_I_antiparallel_A"]
                 == report["delta_I_parallel_A"] / 2)
+
+
+def test_nan_alpha_R_exits_1_naming_key(tmp_path):
+    proc = run_cli(["readout", "--set", "alpha_R=NaN", "--set", "D=10",
+                    "--out", str(tmp_path)])
+    assert proc.returncode == 1
+    assert "invalid configuration: alpha_R: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "readout.json").exists()

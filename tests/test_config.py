@@ -1,12 +1,20 @@
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import re
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fanospin.cli import main
 from fanospin.config import (GAMMA_MIN, ConfigError, DeviceConfig, Mode,
-                             apply_overrides, default_config, dumps, loads,
-                             to_dict, validate)
+                             apply_overrides, default_config, dumps,
+                             from_dict, loads, to_dict, validate)
 from fanospin.constants import CONSTANTS
 
 
@@ -147,3 +155,176 @@ def test_temperature_beyond_bound_rejected():
         T = math.nextafter(T, 0)
     _accepted_at_rejected_beyond("temperature", "temperature", T,
                                  math.nextafter(T, math.inf))
+
+
+def _violations(overrides, base=None):
+    """The ConfigError violations of ``overrides`` on ``base`` (the default
+    config if None), or [] when the result validates."""
+    try:
+        validate(apply_overrides(base or default_config(), overrides))
+    except ConfigError as exc:
+        return exc.violations
+    return []
+
+
+@pytest.mark.parametrize("override", [
+    "Gamma=NaN", "Gamma=Infinity", "Gamma=-Infinity", "temperature=-Infinity",
+    "temperature=NaN", "eps1=NaN", "V_sd=-Infinity",
+    "modes.0.bottom_energy=NaN"])
+def test_non_finite_number_is_one_violation(override):
+    key = override.split("=")[0].replace(".0.", "[0].")
+    (violation,) = _violations([override])
+    assert violation.startswith(f"{key}: ")
+
+
+#: alpha_R and D, each bad with the other given and good
+BAD_ALPHA_R_OR_D = [
+    (["alpha_R=NaN", "D=10"], "alpha_R"),
+    (["alpha_R=Infinity", "D=10"], "alpha_R"),
+    (["alpha_R=30", "D=NaN"], "D"),
+    (["alpha_R=30", "D=Infinity"], "D"),
+    (["alpha_R=30", "D=0"], "D"),
+    (["alpha_R=30", "D=-0.0"], "D"),
+]
+
+
+@pytest.mark.parametrize("overrides, key", BAD_ALPHA_R_OR_D + [
+    (["alpha_R=NaN"], "alpha_R"), (["D=NaN"], "D"), (["D=Infinity"], "D")])
+def test_alpha_R_and_D_rejected_by_key_with_beta_given(overrides, key):
+    # default_config has beta = 3, consistent with alpha_R / D = 30 / 10
+    (violation,) = _violations(overrides)
+    assert violation.startswith(f"{key}: ")
+
+
+@pytest.mark.parametrize("overrides, key", BAD_ALPHA_R_OR_D)
+def test_alpha_R_and_D_rejected_by_key_with_beta_derived(overrides, key):
+    base = dataclasses.replace(default_config(), beta=None)
+    (violation,) = _violations(overrides, base)
+    assert violation.startswith(f"{key}: ")
+
+
+def test_beta_derived_past_the_float_range_is_rejected_as_beta():
+    # alpha_R / D = 1e600 rounds to inf: as a derived beta it is out of
+    # range, and no finite beta is consistent with it
+    (given,) = _violations(["alpha_R=1e300", "D=1e-300"])
+    assert given.startswith("beta: 3.0 inconsistent")
+    (derived,) = _violations(["alpha_R=1e300", "D=1e-300"],
+                             dataclasses.replace(default_config(), beta=None))
+    assert derived.startswith("beta: must be in")
+
+
+@pytest.mark.parametrize("key", ["eps1", "Gamma", "temperature", "beta",
+                                 "alpha_R", "D"])
+@pytest.mark.parametrize("value", ["hot", [1.0], 2j, 10**400])
+def test_value_that_is_no_float_is_one_violation(key, value):
+    with pytest.raises(ConfigError) as err:
+        validate(make_raw(**{key: value}))
+    (violation,) = err.value.violations
+    assert violation.startswith(f"{key}: ")
+
+
+def test_json_keys_are_the_field_names():
+    cfg = make_raw(alpha_R=5.0, D=10.0, q=0.5j)
+    names = [f.name for f in dataclasses.fields(DeviceConfig)]
+    assert sorted(to_dict(cfg)) == sorted(names)
+    assert from_dict(to_dict(cfg)) == cfg
+    required = {"eps1", "U_C", "J", "Gamma", "mu_source", "V_sd",
+                "temperature", "modes"}
+    with pytest.raises(ConfigError) as err:
+        from_dict({})
+    assert err.value.violations == [f"{k}: required" for k in names
+                                    if k in required]
+
+
+# ---------------------------------------------------------------------------
+# Every number against its interval, through overrides and the CLI
+
+def _temperature_limit():
+    """Largest T whose 40 k_B T, as a float product, is at most LIMIT."""
+    T = LIMIT / (40 * CONSTANTS.k_B)
+    while 40 * CONSTANTS.k_B * T > LIMIT:
+        T = math.nextafter(T, 0)
+    return T
+
+
+#: override key -> (key named in the violation, lowest and highest value
+#: accepted); temperature is bounded through 40 k_B T, checked in the
+#: interval below.
+INTERVALS = {
+    "eps1": ("eps1", -LIMIT, LIMIT),
+    "U_C": ("U_C", -LIMIT, LIMIT),
+    "J": ("J", -LIMIT, LIMIT),
+    "beta": ("beta", -LIMIT, LIMIT),
+    "mu_source": ("mu_source", -LIMIT, LIMIT),
+    "V_sd": ("V_sd", -LIMIT, LIMIT),
+    "modes.0.bottom_energy": ("modes[0].bottom_energy", -LIMIT, LIMIT),
+    "Gamma": ("Gamma", GAMMA_MIN, LIMIT),
+    "temperature": ("temperature", 0.0, _temperature_limit()),
+    "alpha_R": ("alpha_R", -sys.float_info.max, sys.float_info.max),
+    "D": ("D", math.ulp(0.0), sys.float_info.max),
+}
+
+
+def _accepted(key, value):
+    if key == "temperature":
+        return 0 <= 40 * CONSTANTS.k_B * value <= LIMIT
+    _, lo, hi = INTERVALS[key]
+    return lo <= value <= hi
+
+
+def _ends(lo, hi):
+    """Each end and the floats next to it on both sides, zero of both
+    signs, both infinities and NaN."""
+    return [x for end in (lo, hi)
+            for x in (end, math.nextafter(end, -math.inf),
+                      math.nextafter(end, math.inf))] + [
+        0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def key_and_value(draw):
+    key = draw(st.sampled_from(sorted(INTERVALS)))
+    _, lo, hi = INTERVALS[key]
+    value = draw(st.one_of(st.sampled_from(_ends(lo, hi)), st.floats()))
+    return key, value
+
+
+@settings(max_examples=400, deadline=None)
+@given(key_and_value())
+def test_every_number_accepted_exactly_inside_its_interval(kv):
+    key, value = kv
+    violations = _violations([f"{key}={json.dumps(value)}"])
+    if _accepted(key, value):
+        assert violations == []
+    else:
+        (violation,) = violations
+        assert violation.startswith(f"{INTERVALS[key][0]}: ")
+
+
+def _resonance_unresolved(cfg):
+    """True when Gamma is below the float spacing at the resonance, which
+    ``fanospin`` rejects naming Gamma once the config is valid."""
+    E = cfg.eps1 + cfg.U_C - cfg.J / 4 - abs(cfg.beta_value) / 2
+    return E - cfg.Gamma == E or E + cfg.Gamma == E
+
+
+@settings(max_examples=12, deadline=None)
+@given(key_and_value())
+def test_every_number_through_cli(kv):
+    key, value = kv
+    override = f"{key}={json.dumps(value)}"
+    if _accepted(key, value):
+        cfg = validate(apply_overrides(default_config(), [override]))
+        named = "Gamma" if _resonance_unresolved(cfg) else None
+    else:
+        named = INTERVALS[key][0]
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("sweep", "iv", "readout"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main([command, "--out", str(Path(tmp) / command),
+                           "--set", override])
+            assert "Traceback" not in err.getvalue()
+            assert rc == (1 if named else 0), err.getvalue()
+            if named:
+                assert f": {named}: " in err.getvalue(), err.getvalue()
