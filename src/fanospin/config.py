@@ -6,7 +6,10 @@ comparison, so every bad value is one violation named by its key: each
 energy (``eps1``, ``U_C``, ``J``, ``mu_source``, every mode's
 ``bottom_energy``, ``beta``) and ``V_sd`` lie within +-``LIMIT``, ``Gamma``
 in [``GAMMA_MIN``, ``LIMIT``] and 40 k_B T in [0, ``LIMIT``]; ``alpha_R``
-must be finite and ``D`` finite and > 0 whenever given.
+must be finite and ``D`` finite and > 0 whenever given.  ``Gamma`` must
+also be resolvable at the resonance (E_res +- Gamma != E_res), so every
+subcommand rejects the same configs, and each mode's ``coupled`` must be a
+JSON boolean.
 
 The JSON representation uses the field names as keys, so each key is
 declared once, by its field; the complex Fano factor ``q`` is stored as a
@@ -82,6 +85,21 @@ LIMIT = 0.1 / GAMMA_MIN
 _MAX = sys.float_info.max
 
 
+def resonance_energy(eps1: float, U_C: float, J: float, beta: float) -> float:
+    """The tunnelling resonance eps1 + U_C - J/4 - |beta|/2 in meV, summed
+    left to right (see ``dot_spectrum.target_level``)."""
+    return eps1 + U_C - J / 4 - abs(beta) / 2
+
+
+def gamma_unresolved(E_res: float, Gamma: float) -> list[str]:
+    """The violation, naming Gamma, when E_res +- Gamma rounds to E_res: a
+    dip narrower than floating point can resolve at the resonance."""
+    if E_res - Gamma == E_res or E_res + Gamma == E_res:
+        return [f"Gamma: {Gamma} meV is below the float spacing at the "
+                f"resonance E_res = {E_res} meV"]
+    return []
+
+
 def validate(config: DeviceConfig) -> DeviceConfig:
     """Check every invariant; derive beta from alpha_R/D when absent.
 
@@ -102,12 +120,14 @@ def validate(config: DeviceConfig) -> DeviceConfig:
         return False
 
     energy = (-LIMIT, LIMIT, "meV")
-    for key in ("eps1", "U_C", "J", "mu_source"):
-        inside(key, getattr(config, key), *energy)
+    # the numbers the resonance depends on, and whether each is inside
+    resonance = [inside(key, getattr(config, key), *energy)
+                 for key in ("eps1", "U_C", "J")]
+    inside("mu_source", config.mu_source, *energy)
     for i, m in enumerate(config.modes):
         inside(f"modes[{i}].bottom_energy", m.bottom_energy, *energy)
     inside("V_sd", config.V_sd, -LIMIT, LIMIT, "mV")
-    inside("Gamma", config.Gamma, GAMMA_MIN, LIMIT, "meV")
+    resonance.append(inside("Gamma", config.Gamma, GAMMA_MIN, LIMIT, "meV"))
     inside("temperature", config.temperature, 0.0, LIMIT,
            f"meV as {FERMI_TAIL_KT:g} k_B T (T in K)",
            FERMI_TAIL_KT * CONSTANTS.k_B)
@@ -126,9 +146,13 @@ def validate(config: DeviceConfig) -> DeviceConfig:
     if beta is None:
         if None in pair:    # else alpha_R or D is reported already
             errs.append("beta: required (directly or via alpha_R and D)")
-    elif inside("beta", beta, *energy) and not math.isclose(
-            beta, derived, rel_tol=BETA_CONSISTENCY_RTOL):
-        errs.append(f"beta: {beta} inconsistent with alpha_R/D = {derived}")
+    elif inside("beta", beta, *energy):
+        if not math.isclose(beta, derived, rel_tol=BETA_CONSISTENCY_RTOL):
+            errs.append(f"beta: {beta} inconsistent with alpha_R/D = "
+                        f"{derived}")
+        elif all(resonance):
+            errs += gamma_unresolved(resonance_energy(
+                config.eps1, config.U_C, config.J, beta), config.Gamma)
 
     if not (config.q.real == 0 and abs(config.q) <= 1):
         errs.append(f"q: must have Re q = 0 and |q| <= 1 (else T > 1 "
@@ -152,8 +176,15 @@ _FIELDS = fields(DeviceConfig)
 
 
 def _modes(raw) -> tuple[Mode, ...]:
-    return tuple(Mode(bottom_energy=float(m["bottom_energy"]),
-                      coupled=bool(m.get("coupled", False))) for m in raw)
+    """The modes; each ``coupled`` must be a JSON boolean, as bool("no")
+    would count a string as coupled."""
+    modes = tuple(Mode(bottom_energy=float(m["bottom_energy"]),
+                       coupled=m.get("coupled", False)) for m in raw)
+    errs = [f"modes[{i}].coupled: must be true or false, got {m.coupled!r}"
+            for i, m in enumerate(modes) if not isinstance(m.coupled, bool)]
+    if errs:
+        raise ConfigError(errs)
+    return modes
 
 
 def _q(raw) -> complex:
@@ -197,6 +228,8 @@ def from_dict(d: dict) -> DeviceConfig:
             return f.default
         try:
             return _DECODE.get(f.name, float)(raw)
+        except ConfigError as exc:      # already named by its key
+            errs.extend(exc.violations)
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
             errs.append(f"{f.name}: {exc}")
 

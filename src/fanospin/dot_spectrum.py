@@ -31,7 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import CONSTANTS
-from .config import ConfigError, DeviceConfig
+from .config import (ConfigError, DeviceConfig, gamma_unresolved,
+                     resonance_energy)
 
 DEGENERACY_TOL = 1e-10          # meV, for grouping coincident levels
 CHARACTER_TIE_TOL = 1e-9        # triplet-probability tie -> Mixed
@@ -190,13 +191,12 @@ def target_level(config: DeviceConfig) -> ResonanceSpec:
 
     Raises ConfigError naming Gamma when E_res +- Gamma rounds to E_res:
     such a dip is narrower than floating point can resolve at E_res."""
-    E_res = (config.eps1 + config.U_C - config.J / 4
-             - abs(config.beta_value) / 2)
-    G = config.Gamma
-    if E_res - G == E_res or E_res + G == E_res:
-        raise ConfigError([f"Gamma: {G} meV is below the float spacing at "
-                           f"the resonance E_res = {E_res} meV"])
-    return ResonanceSpec(energy=E_res, Gamma=G, q=config.q)
+    E_res = resonance_energy(config.eps1, config.U_C, config.J,
+                             config.beta_value)
+    errs = gamma_unresolved(E_res, config.Gamma)
+    if errs:
+        raise ConfigError(errs)
+    return ResonanceSpec(energy=E_res, Gamma=config.Gamma, q=config.q)
 
 
 def spin_flip_blocked(config: DeviceConfig) -> MarginReport:

@@ -15,8 +15,9 @@ chemical potential from the scale pi kT.  The integrand's poles sit at
 E_res +- i Gamma and mu + i pi kT (2n + 1); no panel is wider than its
 distance to the nearest one, so the rule is exact to rounding.  A row
 depends only on its sorted pair of chemical potentials, so I(-V) = -I(V)
-holds exactly, and an I-V curve is one call whose dI/dV is the exact
-[G(mu_s) + G(mu_d)] / 2.
+holds exactly, +V and -V share one row, and an I-V curve is one call whose
+dI/dV is the exact [G(mu_s) + G(mu_d)] / 2.  ``current_components`` takes
+the conductance at any mu's as further rows of its one call.
 
 A sharp window, where every mu +- 40 kT rounds to mu (T = 0 K included),
 is an exact special case evaluated in closed form, not a small-T limit.
@@ -109,19 +110,23 @@ def _graded_rule(model: TransmissionModel, kT: float, windows, points):
     """
     rows = ([(lo, hi, -math.expm1((lo - hi) / kT)) for lo, hi in windows]
             + [(mu, mu, 1.0) for mu in points])     # numerator 1 - e^-2d
-    res, tail = model.resonance, FERMI_TAIL_KT * kT
+    res, tail, pkT = model.resonance, FERMI_TAIL_KT * kT, math.pi * kT
     bottom = model.modes[model.coupled_index].bottom_energy
     # per row: its ends, E_res, its mu's; Fermi centre, d, 1 + e^-2d, numerator
     table = np.array([(max(bottom, lo - tail), hi + tail, res.energy, lo, hi,
                        0.5 * (lo + hi), 0.5 * (hi - lo),
                        1.0 + math.exp((lo - hi) / kT), numerator)
                       for lo, hi, numerator in rows]).T
-    n = 1 + max(0, math.ceil(
-        math.log2(table[:5].max() - table[:5].min())
-        - math.log2(min(res.Gamma, math.pi * kT))))
+    # the span of the first five columns, from the outermost mu's
+    low, high = min(r[0] for r in rows), max(r[1] for r in rows)
+    span = (max(res.energy, high + tail, bottom)
+            - min(res.energy, low, max(bottom, low - tail)))
+    n = 1 + max(0, math.ceil(math.log2(span)
+                             - math.log2(min(res.Gamma, pkT))))
     with np.errstate(over="ignore"):    # inf steps clip; e^inf gives f = 0
-        steps = np.ldexp([[res.Gamma], [math.pi * kT], [math.pi * kT]],
-                         np.arange(n))[:, :, None] * [-1.0, 1.0]
+        steps = np.ldexp(np.array(((-res.Gamma, res.Gamma), (-pkT, pkT),
+                                   (-pkT, pkT)))[:, None],
+                         np.arange(n)[:, None])             # (3, n, 2)
         ladder = (table[2:5].T[..., None, None] + steps).reshape(len(rows), -1)
         edges = np.concatenate((table[:5].T, ladder), 1)
         edges = np.sort(np.minimum(np.maximum(edges, table[0, :, None]),
@@ -129,7 +134,7 @@ def _graded_rule(model: TransmissionModel, kT: float, windows, points):
         width = edges[:, 1:] - edges[:, :-1]
         row, col = np.nonzero(width)
         width = width[row, col]
-        centre, d, scale = table[5:8, row]
+        centre, d, scale = table[5:8].take(row, 1)
         E = edges[row, col] + width * _GL_STEPS          # (16, panels)
         a, eps = np.abs(E - centre), E - res.energy
         den = (eps * eps + res.Gamma * res.Gamma) * (
@@ -141,32 +146,38 @@ def _graded_rule(model: TransmissionModel, kT: float, windows, points):
 
 def _integrals(model: TransmissionModel, kT: float, biases, mus):
     """Unit-weight deficit of each bias in meV, signed like it, and dip
-    share of G / G0 at each mu (None if sharp: G = G0 T(mu)); closed forms
-    where sharp, else rows of one ``_graded_rule`` call."""
+    share of G / G0 at each mu (None if sharp: G = G0 T(mu)).  A sharp
+    window takes the closed form; every other distinct sorted window (+V
+    and -V share one) and every wide mu is one row of one ``_graded_rule``
+    call, and a window already among the rows is not tested again."""
     res = model.resonance
     bottom = model.modes[model.coupled_index].bottom_energy
-    windows = [(b.mu_drain, b.mu_source, 1.0) if b.mu_source >= b.mu_drain
-               else (b.mu_source, b.mu_drain, -1.0) for b in biases]
-    wide = [(lo, hi) for lo, hi, _ in windows if not _sharp(kT, lo, hi)]
-    points = [mu for mu in mus if not _sharp(kT, mu)]
-    graded = iter(_graded_rule(model, kT, wide, points)
-                  if wide or points else ())
-    deficits = []
-    for lo, hi, sign in windows:
-        if not _sharp(kT, lo, hi):
-            deficits.append(sign * float(next(graded)))
+    deficits, rows = [], {}     # each graded window -> its (bias, sign)s
+    for i, b in enumerate(biases):
+        lo, hi, sign = ((b.mu_drain, b.mu_source, 1.0)
+                        if b.mu_source >= b.mu_drain
+                        else (b.mu_source, b.mu_drain, -1.0))
+        if (lo, hi) in rows or not _sharp(kT, lo, hi):
+            rows.setdefault((lo, hi), []).append((i, sign))
+            deficits.append(None)
         else:
             lo = max(bottom, lo)
             deficits.append(sign * dip_integral(res, lo, hi) if lo < hi
                             else 0.0)
-    return deficits, [None if _sharp(kT, mu) else float(next(graded)) / kT
-                      for mu in mus]
+    smooth = [not _sharp(kT, mu) for mu in mus]
+    if rows or any(smooth):
+        graded = _graded_rule(model, kT, list(rows), [
+            mu for mu, s in zip(mus, smooth) if s]).tolist()
+        for value, biases_of_row in zip(graded, rows.values()):
+            for i, sign in biases_of_row:
+                deficits[i] = sign * value
+        dips = iter(graded[len(rows):])
+    return deficits, [next(dips) / kT if s else None for s in smooth]
 
 
-def _ballistic(bias: BiasPoint, model: TransmissionModel) -> float:
+def _ballistic(bias: BiasPoint, model: TransmissionModel, kT: float) -> float:
     """The current with the dot decoupled, A, in closed form."""
     mu_s, mu_d = bias.mu_source, bias.mu_drain
-    kT = thermal_energy(bias.temperature)
     if _sharp(kT, mu_s, mu_d):
         return CURRENT_PER_MEV * sum(
             max(0.0, mu_s - m.bottom_energy) - max(0.0, mu_d - m.bottom_energy)
@@ -190,17 +201,25 @@ def _conductance(model: TransmissionModel, kT: float, mu: float,
     return CONSTANTS.G0_spin_polarized * (occupied - model.weight * dip)
 
 
-def current_components(bias: BiasPoint,
-                       model: TransmissionModel) -> tuple[float, float]:
-    """(ballistic current, dip deficit) in A; I = ballistic - deficit.
+def current_components(bias: BiasPoint, model: TransmissionModel,
+                       *mus: float) -> tuple[float, ...]:
+    """(ballistic current, dip deficit) in A, I = ballistic - deficit,
+    then the ``linear_conductance`` in S at each of ``mus`` at the bias
+    temperature, each equal to its own call bit for bit: the deficit and
+    the conductances are rows of one ``_graded_rule`` call where not sharp.
 
     The deficit is computed as its own integral (not by subtracting two
     currents), so weight scaling and the parallel/antiparallel ratio are
     exact.
     """
-    (deficit,), _ = _integrals(model, thermal_energy(bias.temperature),
-                               [bias], [])
-    return _ballistic(bias, model), model.weight * (CURRENT_PER_MEV * deficit)
+    kT = thermal_energy(bias.temperature)
+    (deficit,), dips = _integrals(model, kT, [bias], mus)
+    parts = (_ballistic(bias, model, kT),
+             model.weight * (CURRENT_PER_MEV * deficit))
+    if mus:
+        parts += tuple(_conductance(model, kT, mu, dip)
+                       for mu, dip in zip(mus, dips))
+    return parts
 
 
 def current(bias: BiasPoint, model: TransmissionModel) -> float:
@@ -257,8 +276,9 @@ def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
         moving = [b for V, b in zip(V_grid, biases) if V]
         deficits, dips = _integrals(models[0], kT, moving, mus)
         deficit = iter(deficits)
-        parts = [(_ballistic(b, models[0]), CURRENT_PER_MEV * next(deficit))
-                 if V else (0.0, 0.0) for V, b in zip(V_grid, biases)]
+        parts = [(_ballistic(b, models[0], kT),
+                  CURRENT_PER_MEV * next(deficit)) if V else (0.0, 0.0)
+                 for V, b in zip(V_grid, biases)]
         currents = [[ballistic - m.weight * d for ballistic, d in parts]
                     for m in models]
         G = [dict(zip(mus, (_conductance(m, kT, mu, dip)

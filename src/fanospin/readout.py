@@ -24,8 +24,8 @@ from .dot_spectrum import (VERDICT_MARGIN, MarginReport, SpinFlipTime,
                            levels_distinguishable, spin_flip_blocked,
                            spin_flip_time)
 from .fano import CHANNEL_WEIGHT, SpinOrientation, mean_reflection
-from .landauer import (BiasPoint, current_components, linear_conductance,
-                       model_from_config, optimal_bias)
+from .landauer import (BiasPoint, current_components, model_from_config,
+                       optimal_bias)
 
 LINESHAPE_NOTE = (
     "mean reflection over |detuning| < Gamma is pi/4 ~ 0.785 for q = 0, "
@@ -90,10 +90,11 @@ def readout_report(config: DeviceConfig) -> ReadoutReport:
     bias = BiasPoint(mu_source=config.mu_source,
                      mu_drain=config.mu_source - config.V_sd,
                      temperature=config.temperature)
-    I_ball, d_par = current_components(bias, model_par)
+    res = model_par.resonance
+    # the deficit and the conductance at the dip: two rows of one kernel call
+    I_ball, d_par, G_res = current_components(bias, model_par, res.energy)
     d_anti = CHANNEL_WEIGHT[SpinOrientation.ANTIPARALLEL] * d_par
     rel = lambda d: d / I_ball if I_ball != 0 else 0.0
-    res = model_par.resonance
     return ReadoutReport(
         I_ballistic=I_ball,
         I_parallel=I_ball - d_par,
@@ -108,8 +109,7 @@ def readout_report(config: DeviceConfig) -> ReadoutReport:
         optimal_V=optimal_bias(config.Gamma),
         mean_reflection_dip_window=mean_reflection(
             model_par, (res.energy - res.Gamma, res.energy + res.Gamma)),
-        conductance_at_resonance=linear_conductance(
-            model_par, config.temperature, res.energy),
+        conductance_at_resonance=G_res,
         lineshape_note=LINESHAPE_NOTE,
     )
 

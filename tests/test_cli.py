@@ -124,6 +124,30 @@ def test_every_energy_at_the_bound_runs_warning_free(tmp_path, sign, hot):
         assert proc.returncode == 0, proc.stderr
 
 
+def test_gamma_below_spacing_rejected_by_every_subcommand(tmp_path, capsys):
+    # E_res ~ 1e152 meV, whose float spacing is far above Gamma = 1 meV
+    for command in ("levels", "sweep", "readout"):
+        out = tmp_path / command
+        rc = main([command, "--set", "eps1=1e152", "--out", str(out)])
+        assert rc == 1
+        assert ("invalid configuration: Gamma: 1.0 meV is below the float "
+                "spacing at the resonance") in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("coupled", ['"no"', '"false"', "1"])
+def test_coupled_string_exits_1_naming_mode(tmp_path, coupled):
+    # one of two modes: a non-boolean never counts as coupled or uncoupled
+    proc = run_cli(["levels", "--set", 'modes=[{"bottom_energy": 0, '
+                    f'"coupled": true}}, {{"bottom_energy": 1, "coupled": '
+                    f'{coupled}}}]', "--out", str(tmp_path)])
+    assert proc.returncode == 1
+    assert (f"invalid configuration: modes[1].coupled: must be true or "
+            f"false, got {json.loads(coupled)!r}") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "levels.csv").exists()
+
+
 def test_unphysical_q_exits_1_naming_q(tmp_path, capsys):
     # q = 1 gives T = 2 at eps = Gamma; |q| = 2 gives T = 4 at resonance
     for command, q in (("sweep", "[1,0]"), ("iv", "[0,2]")):

@@ -122,7 +122,10 @@ def test_q_on_physical_boundary_accepted():
 
 
 def test_gamma_whose_square_underflows_rejected():
-    assert validate(make_raw(Gamma=GAMMA_MIN)).Gamma == GAMMA_MIN
+    # E_res = 0, where the smallest Gamma resolves
+    assert validate(make_raw(eps1=-1.5, Gamma=GAMMA_MIN)).Gamma == GAMMA_MIN
+    with pytest.raises(ConfigError, match="^Gamma: .* float spacing"):
+        validate(make_raw(Gamma=GAMMA_MIN))
     with pytest.raises(ConfigError, match="Gamma"):
         validate(make_raw(Gamma=1e-200))
 
@@ -132,7 +135,8 @@ LIMIT = 0.1 / GAMMA_MIN
 
 
 def _accepted_at_rejected_beyond(key, name, at, beyond):
-    cfg = default_config()
+    # Gamma = LIMIT resolves a resonance as far out as the bounds put it
+    cfg = apply_overrides(default_config(), [f"Gamma={LIMIT!r}"])
     assert validate(apply_overrides(cfg, [f"{key}={at!r}"]))
     with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: ") as err:
         validate(apply_overrides(cfg, [f"{key}={beyond!r}"]))
@@ -147,6 +151,34 @@ def _accepted_at_rejected_beyond(key, name, at, beyond):
 def test_energy_beyond_bound_rejected_by_key(key, name, sign):
     _accepted_at_rejected_beyond(key, name, sign * LIMIT,
                                  sign * math.nextafter(LIMIT, math.inf))
+
+
+@pytest.mark.parametrize("key", ["eps1", "U_C", "J", "beta"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_resonance_at_bound_needs_a_resolvable_gamma(key, sign):
+    # E_res ~ LIMIT, whose float spacing is far above the default Gamma = 1
+    (violation,) = _violations([f"{key}={sign * LIMIT!r}"])
+    assert violation.startswith("Gamma: ")
+    assert "below the float spacing at the resonance" in violation
+
+
+def test_gamma_below_spacing_reported_with_other_violations():
+    # the resonance check runs whenever its numbers are inside
+    violations = _violations(["eps1=1e152", "V_sd=NaN", "q=[0,2]"])
+    assert [v.split(":")[0] for v in violations] == ["V_sd", "Gamma", "q"]
+    (violation,) = _violations(["eps1=1e152", "Gamma=NaN"])
+    assert violation.startswith("Gamma: must be in")
+
+
+@pytest.mark.parametrize("coupled", ["no", "false", "true", 1, 0, None,
+                                     [True]])
+def test_coupled_must_be_a_json_boolean(coupled):
+    with pytest.raises(ConfigError) as err:
+        from_dict(dict(to_dict(default_config()), modes=[
+            {"bottom_energy": 0.0, "coupled": True},
+            {"bottom_energy": 1.0, "coupled": coupled}]))
+    assert err.value.violations == [
+        f"modes[1].coupled: must be true or false, got {coupled!r}"]
 
 
 def test_temperature_beyond_bound_rejected():
@@ -289,23 +321,40 @@ def key_and_value(draw):
     return key, value
 
 
+def _resonance_unresolved(override):
+    """True when Gamma is below the float spacing at the resonance, which
+    ``validate`` rejects naming Gamma once every number is inside."""
+    cfg = apply_overrides(default_config(), [override])
+    E = cfg.eps1 + cfg.U_C - cfg.J / 4 - abs(cfg.beta_value) / 2
+    return E - cfg.Gamma == E or E + cfg.Gamma == E
+
+
+def _named(key, value):
+    """The key the one violation of ``key=value`` names, or None."""
+    if not _accepted(key, value):
+        return INTERVALS[key][0]
+    if _resonance_unresolved(f"{key}={json.dumps(value)}"):
+        return "Gamma"
+    return None
+
+
 @settings(max_examples=400, deadline=None)
 @given(key_and_value())
 def test_every_number_accepted_exactly_inside_its_interval(kv):
     key, value = kv
     violations = _violations([f"{key}={json.dumps(value)}"])
-    if _accepted(key, value):
+    named = _named(key, value)
+    if named is None:
         assert violations == []
     else:
         (violation,) = violations
-        assert violation.startswith(f"{INTERVALS[key][0]}: ")
+        assert violation.startswith(f"{named}: ")
 
 
-def _resonance_unresolved(cfg):
-    """True when Gamma is below the float spacing at the resonance, which
-    ``fanospin`` rejects naming Gamma once the config is valid."""
-    E = cfg.eps1 + cfg.U_C - cfg.J / 4 - abs(cfg.beta_value) / 2
-    return E - cfg.Gamma == E or E + cfg.Gamma == E
+def _csv_columns(path):
+    header, *rows = path.read_text().strip().split("\n")
+    cols = list(zip(*(map(float, r.split(",")) for r in rows)))
+    return dict(zip(header.split(","), cols))
 
 
 @settings(max_examples=12, deadline=None)
@@ -313,18 +362,27 @@ def _resonance_unresolved(cfg):
 def test_every_number_through_cli(kv):
     key, value = kv
     override = f"{key}={json.dumps(value)}"
-    if _accepted(key, value):
-        cfg = validate(apply_overrides(default_config(), [override]))
-        named = "Gamma" if _resonance_unresolved(cfg) else None
-    else:
-        named = INTERVALS[key][0]
+    named = _named(key, value)
     with tempfile.TemporaryDirectory() as tmp:
         for command in ("sweep", "iv", "readout"):
+            out = Path(tmp) / command
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                rc = main([command, "--out", str(Path(tmp) / command),
-                           "--set", override])
+                rc = main([command, "--out", str(out), "--set", override])
             assert "Traceback" not in err.getvalue()
             assert rc == (1 if named else 0), err.getvalue()
             if named:
                 assert f": {named}: " in err.getvalue(), err.getvalue()
+                assert not out.exists()
+        if named:
+            return
+        # an accepted value gives physical output
+        sweep = _csv_columns(Path(tmp) / "sweep" / "sweep.csv")
+        for col, values in sweep.items():
+            if col.startswith("T_"):
+                assert all(0.0 <= t <= 1.0 for t in values), col
+        assert list(sweep["R_antiparallel"]) == [
+            r / 2 for r in sweep["R_parallel"]]
+        iv = _csv_columns(Path(tmp) / "iv" / "iv.csv")
+        for col in ("V_mV", "I_A_parallel", "I_A_antiparallel"):
+            assert list(iv[col]) == [-x for x in iv[col][::-1]], col

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -141,7 +142,8 @@ def test_target_level_examples():
 def test_target_level_rejects_gamma_below_float_spacing():
     # E_res = 9.75 meV, whose float spacing is 1.8e-15 meV
     for Gamma in (1e-17, 1e-150):
-        cfg = make_config(J=1.0, Gamma=Gamma)
+        # validate rejects it as well; target_level keeps its own check
+        cfg = dataclasses.replace(make_config(J=1.0), Gamma=Gamma)
         with pytest.raises(ConfigError, match="^Gamma: "):
             target_level(cfg)
     cfg = make_config(J=1.0, Gamma=1e-15)

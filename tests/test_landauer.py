@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fanospin import landauer
 from fanospin.config import DeviceConfig, Mode, Spin, validate
 from fanospin.constants import CONSTANTS, CURRENT_PER_MEV, thermal_energy
 from fanospin.dot_spectrum import ResonanceSpec
@@ -13,6 +14,7 @@ from fanospin.fano import SpinOrientation, TransmissionModel
 from fanospin.landauer import (BiasPoint, current, current_components, fermi,
                                iv_curve, iv_curves, linear_conductance,
                                model_from_config, optimal_bias)
+from fanospin.readout import readout_report
 
 G0 = CONSTANTS.G0_spin_polarized
 
@@ -241,6 +243,82 @@ def test_iv_curve_is_current_and_exact_dIdV_pointwise(
                                grid),
                       iv_curve(dataclasses.replace(cfg, dot_spin=Spin.DOWN),
                                grid))
+
+
+def _count_graded_rows(monkeypatch):
+    """Record (window rows, point rows) of every ``_graded_rule`` call."""
+    calls = []
+    original = landauer._graded_rule
+
+    def counted(model, kT, windows, points):
+        calls.append((len(windows), len(points)))
+        return original(model, kT, windows, points)
+
+    monkeypatch.setattr(landauer, "_graded_rule", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1, 3, 40])
+def test_iv_curve_passes_each_mirrored_window_once(monkeypatch, m):
+    # +-V share one sorted window: m window rows, and one point row per
+    # distinct chemical potential mu_source +- V/2 (2m + 1 of them)
+    cfg = validate(DeviceConfig(
+        eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0, mu_source=7.25,
+        V_sd=1.0, temperature=4.0, modes=(Mode(0.0, coupled=True),)))
+    pos = [2.0 * k / m for k in range(1, m + 1)]
+    grid = [-v for v in reversed(pos)] + [0.0] + pos
+    calls = _count_graded_rows(monkeypatch)
+    curve = iv_curve(cfg, grid)
+    assert calls == [(m, 2 * m + 1)]
+    model = model_from_config(cfg)
+    for V, p in zip(grid, curve.points):
+        bias = BiasPoint(7.25 + V / 2, 7.25 - V / 2, 4.0)
+        assert p.I == current(bias, model)
+
+
+def test_current_components_appends_exact_conductances(monkeypatch):
+    calls = _count_graded_rows(monkeypatch)
+    model = make_model(E0=5.0, bottom=0.0)
+    for T in (0.0, 1e-300, 0.1, 4.0, 40.0):
+        bias = BiasPoint(5.5, 4.5, T)
+        del calls[:]
+        ballistic, deficit, *G = current_components(bias, model, 5.0, 4.5)
+        assert calls == ([] if T in (0.0, 1e-300) else [(1, 2)])
+        assert (ballistic, deficit) == current_components(bias, model)
+        assert G == [linear_conductance(model, T, mu) for mu in (5.0, 4.5)]
+
+
+@pytest.mark.parametrize("T, kernel_calls", [(0.0, 0), (1e-300, 0),
+                                             (0.1, 1), (40.0, 1)])
+def test_readout_report_makes_at_most_one_kernel_call(monkeypatch, T,
+                                                       kernel_calls):
+    calls = _count_graded_rows(monkeypatch)
+    readout_report(validate(DeviceConfig(
+        eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0, mu_source=7.25,
+        V_sd=1.0, temperature=T, modes=(Mode(0.0, coupled=True),))))
+    # the deficit window and the point at the dip
+    assert calls == [(1, 1)] * kernel_calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=iv_temperatures, q=st.floats(0, 1), Gamma=st.floats(0.05, 3.0),
+       offset=st.floats(-2.0, 2.0), V=st.floats(-3.0, 3.0),
+       two_modes=st.booleans(), spin=st.sampled_from(Spin))
+def test_readout_report_is_its_one_row_calls(T, q, Gamma, offset, V,
+                                             two_modes, spin):
+    modes = (Mode(0.0, coupled=True),) + ((Mode(7.6),) if two_modes else ())
+    cfg = validate(DeviceConfig(
+        eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=Gamma, q=complex(0, q),
+        mu_source=7.25 + offset, V_sd=V, temperature=T, modes=modes,
+        dot_spin=spin))
+    report = readout_report(cfg)
+    model = model_from_config(cfg, SpinOrientation.PARALLEL)
+    bias = BiasPoint(cfg.mu_source, cfg.mu_source - V, T)
+    ballistic, deficit = current_components(bias, model)
+    assert (report.I_ballistic, report.delta_I_parallel) == (ballistic,
+                                                            deficit)
+    assert report.conductance_at_resonance == linear_conductance(
+        model, T, model.resonance.energy)
 
 
 def test_iv_zero_bias_conductance_on_the_resonance_is_zero():
