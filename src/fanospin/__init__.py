@@ -6,11 +6,10 @@ __version__ = "0.1.0"
 from .constants import CONSTANTS, PhysicalConstants, rashba_beta, thermal_energy
 from .config import (ConfigError, DeviceConfig, Mode, Spin, default_config,
                      validate)
-from .dot_spectrum import (Character, HamiltonianMatrix, Level, LevelDiagram,
-                           ResonanceSpec, analytic_eigenvalues, eigenlevels,
+from .dot_spectrum import (Character, Level, ResonanceSpec,
+                           analytic_eigenvalues, eigenlevels,
                            levels_distinguishable, spin_flip_blocked,
-                           spin_flip_time, target_level,
-                           two_electron_hamiltonian)
+                           spin_flip_time, target_level)
 from .fano import (SpinOrientation, TransmissionModel, fano_transmission,
                    mean_reflection, mode_transmission,
                    spin_channel_reflection, total_transmission)

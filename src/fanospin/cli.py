@@ -3,10 +3,22 @@
 Subcommands: levels, sweep, iv, readout, oracle.  Each run writes
 deterministic CSV/JSON data files plus a manifest.json carrying the run
 metadata (the timestamp lives only in the manifest, so repeated runs on the
-same config produce byte-identical data files).
+same config produce byte-identical data files).  The output directory is
+created with the first file, so a rejected input leaves none behind.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure,
-64 usage error, 66 unreadable config.
+Exit codes (sysexits where one fits):
+
+- 0 success;
+- 1 invalid input, each violation named by its config key or option: the
+  config, ``--grid`` (START and STOP finite within +-``config.LIMIT``,
+  COUNT an integer >= 1) and the oracle options (``--hopping-t``,
+  ``--window`` finite and > 0, ``--coupling-tp`` finite and >= 0,
+  ``--eps-d`` finite, ``--points`` >= 1);
+- 2 numerical failure;
+- 64 usage error;
+- 66 unreadable config;
+- 73 the output cannot be created (``--out`` names a file, or a path
+  under one, or is not writable).
 """
 
 from __future__ import annotations
@@ -14,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -22,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, DeviceConfig, apply_overrides,
+from .config import (LIMIT, ConfigError, DeviceConfig, apply_overrides,
                      default_config, dumps, load_file, validate)
 from .dot_spectrum import eigenlevels
 from .fano import (SpinOrientation, mode_transmission,
@@ -37,6 +50,7 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 EXIT_NOINPUT = 66
+EXIT_CANTCREAT = 73
 
 
 def _fmt(x) -> str:
@@ -48,6 +62,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_text(path: Path, text: str):
+    """Write one output file, creating its directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def _write_csv(path: Path, header: list[str], rows, comment: str | None = None):
     lines = []
     if comment is not None:
@@ -55,22 +75,26 @@ def _write_csv(path: Path, header: list[str], rows, comment: str | None = None):
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8", newline="\n")
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _parse_grid(text: str) -> np.ndarray:
+    """START:STOP:COUNT, with finite ends within +-LIMIT and COUNT >= 1."""
     try:
         start, stop, count = text.split(":")
-        grid = np.linspace(float(start), float(stop), int(count))
-    except (ValueError, TypeError) as exc:
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError as exc:
         raise ConfigError([f"--grid: expected start:stop:count, got "
                            f"'{text}' ({exc})"]) from exc
-    return grid
+    if not (-LIMIT <= start <= LIMIT and -LIMIT <= stop <= LIMIT
+            and count >= 1):
+        raise ConfigError([f"--grid: START and STOP must be in [{-LIMIT:g}, "
+                           f"{LIMIT:g}] and COUNT >= 1, got '{text}'"])
+    return np.linspace(start, stop, count)
 
 
 def _load_config(args) -> DeviceConfig:
@@ -84,14 +108,13 @@ def _load_config(args) -> DeviceConfig:
 
 
 def _run_levels(cfg: DeviceConfig, args, out: Path) -> list[Path]:
-    diagram = eigenlevels(cfg)
     path = out / "levels.csv"
     _write_csv(path,
                ["energy_meV", "character", "sz_total", "l1z", "degeneracy",
                 "parallel_accessible"],
                [(lv.energy, lv.character.value, lv.sz_total, lv.l1z,
                  lv.degeneracy, lv.parallel_accessible)
-                for lv in diagram.levels])
+                for lv in eigenlevels(cfg)])
     return [path]
 
 
@@ -149,6 +172,7 @@ def _run_iv(cfg: DeviceConfig, args, out: Path) -> list[Path]:
 def _run_readout(cfg: DeviceConfig, args, out: Path) -> list[Path]:
     report = readout_report(cfg)
     summary = nondemolition_summary(cfg)
+    flip_time_finite = math.isfinite(summary.spin_flip_time)
     obj = {
         "I_ballistic_A": report.I_ballistic,
         "I_parallel_A": report.I_parallel,
@@ -167,9 +191,9 @@ def _run_readout(cfg: DeviceConfig, args, out: Path) -> list[Path]:
         "lineshape_note": report.lineshape_note,
         "qnd": summary.qnd,
         "qnd_reasons": list(summary.reasons),
-        "spin_flip_time_s": (summary.spin_flip_time.seconds
-                             if summary.spin_flip_time.finite else None),
-        "spin_flip_time_finite": summary.spin_flip_time.finite,
+        "spin_flip_time_s": (summary.spin_flip_time if flip_time_finite
+                             else None),
+        "spin_flip_time_finite": flip_time_finite,
         "beta_vs_zeeman": summary.beta_vs_zeeman,
     }
     path = out / "readout.json"
@@ -178,6 +202,19 @@ def _run_readout(cfg: DeviceConfig, args, out: Path) -> list[Path]:
 
 
 def _run_oracle(cfg: DeviceConfig, args, out: Path) -> list[Path]:
+    errs = [f"{flag}: must be {rule}, got {value}"
+            for flag, value, ok, rule in (
+                ("--hopping-t", args.hopping_t,
+                 0 < args.hopping_t < math.inf, "finite and > 0"),
+                ("--coupling-tp", args.coupling_tp,
+                 0 <= args.coupling_tp < math.inf, "finite and >= 0"),
+                ("--eps-d", args.eps_d, math.isfinite(args.eps_d), "finite"),
+                ("--window", args.window,
+                 0 < args.window < math.inf, "finite and > 0"),
+                ("--points", args.points, args.points >= 1, ">= 1"))
+            if not ok]
+    if errs:
+        raise ConfigError(errs)
     lattice = OracleLattice(hopping_t=args.hopping_t,
                             site_energy_eps_d=args.eps_d,
                             coupling_tp=args.coupling_tp)
@@ -262,26 +299,26 @@ def main(argv=None) -> int:
         return EXIT_NOINPUT
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         outputs = RUNNERS[args.subcommand](cfg, args, out)
+        _write_json(out / "manifest.json", {
+            "subcommand": args.subcommand,
+            "config_digest": hashlib.sha256(
+                dumps(cfg).encode("utf-8")).hexdigest(),
+            "tool_version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "overrides": list(args.set),
+            "outputs": [str(p) for p in outputs],
+        })
     except (BandEdgeError, ExtractionError, ArithmeticError) as exc:
         print(f"fanospin: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:
         print(f"fanospin: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    manifest = {
-        "subcommand": args.subcommand,
-        "config_digest": hashlib.sha256(
-            dumps(cfg).encode("utf-8")).hexdigest(),
-        "tool_version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "overrides": list(args.set),
-        "outputs": [str(p) for p in outputs],
-    }
-    _write_json(out / "manifest.json", manifest)
+    except OSError as exc:
+        print(f"fanospin: cannot write --out: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
     return EXIT_OK
 
 

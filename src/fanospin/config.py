@@ -73,10 +73,6 @@ class DeviceConfig:
         assert self.beta is not None, "config not validated"
         return self.beta
 
-    @property
-    def coupled_mode(self) -> Mode:
-        return next(m for m in self.modes if m.coupled)
-
 
 #: Largest magnitude of every energy and bias, and of 40 k_B T, meV (mV for
 #: the bias): as for Gamma, (10 x)^2 of each, and the square of any

@@ -14,8 +14,8 @@ with e = eps1 + U_C and r = sqrt(J^2 + beta^2)/2:
 The sums are parenthesised as written so that at beta = 0 the flip-flop
 triplet equals the stretched one bit for bit.  ``target_level`` takes the
 tunnelling target, the lowest |up,up> level eps1 + U_C - J/4 - |beta|/2,
-straight from the config.  ``two_electron_hamiltonian`` builds the 8x8
-matrix itself, as the reference the closed form is tested against.
+straight from the config.  The tests check the closed form against the
+eigenvalues of the 8x8 matrix.
 
 Energies are measured from the one-electron ground level: a level energy is
 directly the energy an incoming wire electron must supply.
@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .constants import CONSTANTS
 from .config import (ConfigError, DeviceConfig, gamma_unresolved,
                      resonance_energy)
@@ -40,23 +38,11 @@ CHARACTER_TIE_TOL = 1e-9        # triplet-probability tie -> Mixed
 #: this many Gamma (the non-demolition verdict).
 VERDICT_MARGIN = 3.0
 
-BASIS = tuple(
-    (l1z, s0z, s1z)
-    for l1z in (-1, +1)
-    for s0z in (-0.5, +0.5)
-    for s1z in (-0.5, +0.5)
-)
-
 
 class Character(Enum):
     SINGLET = "Singlet"
     TRIPLET = "Triplet"
     MIXED = "Mixed"
-
-
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    matrix: np.ndarray                       # 8x8 real symmetric, meV
 
 
 @dataclass(frozen=True)
@@ -67,11 +53,6 @@ class Level:
     l1z: int                     # +-1, or 0 when a group spans both branches
     degeneracy: int
     parallel_accessible: bool    # contains the spin-aligned |up,up> state
-
-
-@dataclass(frozen=True)
-class LevelDiagram:
-    levels: tuple[Level, ...]    # sorted ascending by energy
 
 
 @dataclass(frozen=True)
@@ -89,33 +70,6 @@ class ResonanceSpec:
 class MarginReport:
     satisfied: bool
     ratio: float                 # splitting / Gamma
-
-
-@dataclass(frozen=True)
-class SpinFlipTime:
-    seconds: float
-    finite: bool
-
-
-def two_electron_hamiltonian(config: DeviceConfig) -> HamiltonianMatrix:
-    """H = (eps1 + U_C) - J S0.S1 + beta L1z S1z on the 8-state basis.
-
-    Diagonal: (eps1 + U_C) - J s0z s1z + beta l1z s1z; the transverse part
-    of the exchange couples the flip-flop partners |up,down> <-> |down,up>
-    within each l1z branch with matrix element -J/2.  The dot-wire tunneling
-    enters only through the broadening Gamma, never as matrix entries.
-    """
-    e_diag = config.eps1 + config.U_C
-    J = config.J
-    beta = config.beta_value
-    H = np.zeros((8, 8))
-    index = {b: i for i, b in enumerate(BASIS)}
-    for i, (l1z, s0z, s1z) in enumerate(BASIS):
-        H[i, i] = e_diag - J * s0z * s1z + beta * l1z * s1z
-        if s0z != s1z:
-            j = index[(l1z, s1z, s0z)]
-            H[i, j] = -J / 2.0
-    return HamiltonianMatrix(matrix=H)
 
 
 class _State(NamedTuple):
@@ -151,8 +105,8 @@ def _states(e: float, J: float, beta: float) -> list[_State]:
     return states
 
 
-def eigenlevels(config: DeviceConfig) -> LevelDiagram:
-    """The labeled level diagram of the closed-form spectrum.
+def eigenlevels(config: DeviceConfig) -> tuple[Level, ...]:
+    """The labeled level diagram of the closed-form spectrum, ascending.
 
     Levels coincident in energy within DEGENERACY_TOL are merged; a merged
     level is Mixed when its members' characters differ, reports l1z = 0
@@ -182,7 +136,7 @@ def eigenlevels(config: DeviceConfig) -> LevelDiagram:
             degeneracy=len(grp),
             parallel_accessible=any(s.up_up for s in grp),
         ))
-    return LevelDiagram(levels=tuple(levels))
+    return tuple(levels)
 
 
 def target_level(config: DeviceConfig) -> ResonanceSpec:
@@ -213,11 +167,10 @@ def levels_distinguishable(config: DeviceConfig) -> MarginReport:
     return MarginReport(satisfied=ratio >= VERDICT_MARGIN, ratio=ratio)
 
 
-def spin_flip_time(J: float) -> SpinFlipTime:
-    """Exchange-driven spin-flip timescale hbar/|J| in seconds."""
-    if J == 0:
-        return SpinFlipTime(seconds=math.inf, finite=False)
-    return SpinFlipTime(seconds=CONSTANTS.hbar / abs(J), finite=True)
+def spin_flip_time(J: float) -> float:
+    """Exchange-driven spin-flip timescale hbar/|J| in seconds, inf at
+    J = 0."""
+    return CONSTANTS.hbar / abs(J) if J else math.inf
 
 
 def analytic_eigenvalues(J: float, beta: float) -> list[float]:

@@ -48,11 +48,6 @@ class BiasPoint:
     mu_drain: float      # meV
     temperature: float   # K
 
-    @property
-    def V_sd(self) -> float:
-        """Bias in mV (numerically mu_source - mu_drain in meV)."""
-        return self.mu_source - self.mu_drain
-
 
 @dataclass(frozen=True)
 class IVPoint:
@@ -145,47 +140,56 @@ def _graded_rule(model: TransmissionModel, kT: float, windows, points):
 
 
 def _integrals(model: TransmissionModel, kT: float, biases, mus):
-    """Unit-weight deficit of each bias in meV, signed like it, and dip
-    share of G / G0 at each mu (None if sharp: G = G0 T(mu)).  A sharp
-    window takes the closed form; every other distinct sorted window (+V
-    and -V share one) and every wide mu is one row of one ``_graded_rule``
-    call, and a window already among the rows is not tested again."""
+    """(ballistic current in A, unit-weight deficit in meV) of each bias,
+    signed like it, and dip share of G / G0 at each mu (None if sharp:
+    G = G0 T(mu)).
+
+    Each distinct sorted window (+V and -V share one) is evaluated once,
+    its ballistic current next to its deficit: a sharp window in closed
+    form, every other one, and every wide mu, as a row of one
+    ``_graded_rule`` call.  -V takes the ballistic current 0.0 - I(+V), so a
+    zero current stays +0.0, and the deficit -D(+V), but 0.0 for a sharp
+    window below the coupled subband."""
     res = model.resonance
     bottom = model.modes[model.coupled_index].bottom_energy
-    deficits, rows = [], {}     # each graded window -> its (bias, sign)s
+    windows, pairs = {}, []
+    rows = {}   # each graded window -> its biases' (index, sign)s
     for i, b in enumerate(biases):
-        lo, hi, sign = ((b.mu_drain, b.mu_source, 1.0)
-                        if b.mu_source >= b.mu_drain
-                        else (b.mu_source, b.mu_drain, -1.0))
-        if (lo, hi) in rows or not _sharp(kT, lo, hi):
-            rows.setdefault((lo, hi), []).append((i, sign))
-            deficits.append(None)
-        else:
-            lo = max(bottom, lo)
-            deficits.append(sign * dip_integral(res, lo, hi) if lo < hi
-                            else 0.0)
+        negative = b.mu_source < b.mu_drain
+        window = lo, hi = ((b.mu_source, b.mu_drain) if negative
+                           else (b.mu_drain, b.mu_source))
+        if window not in windows:
+            if not _sharp(kT, lo, hi):
+                # integral of f from bottom to inf = kT softplus((mu - b)/kT)
+                windows[window] = CURRENT_PER_MEV * sum([
+                    _softplus_energy(hi, m.bottom_energy, kT)
+                    - _softplus_energy(lo, m.bottom_energy, kT)
+                    for m in model.modes]), None, None
+            else:
+                ballistic = CURRENT_PER_MEV * sum([
+                    max(0.0, hi - m.bottom_energy)
+                    - max(0.0, lo - m.bottom_energy) for m in model.modes])
+                lo = max(bottom, lo)
+                if lo < hi:
+                    deficit = dip_integral(res, lo, hi)
+                    windows[window] = ballistic, deficit, -deficit
+                else:       # the window is below the coupled subband
+                    windows[window] = ballistic, 0.0, 0.0
+        ballistic, plus, minus = windows[window]
+        if plus is None:
+            rows.setdefault(window, []).append((i, -1.0 if negative else 1.0))
+        pairs.append((0.0 - ballistic, minus) if negative
+                     else (ballistic, plus))
     smooth = [not _sharp(kT, mu) for mu in mus]
-    if rows or any(smooth):
-        graded = _graded_rule(model, kT, list(rows), [
-            mu for mu, s in zip(mus, smooth) if s]).tolist()
-        for value, biases_of_row in zip(graded, rows.values()):
-            for i, sign in biases_of_row:
-                deficits[i] = sign * value
-        dips = iter(graded[len(rows):])
-    return deficits, [next(dips) / kT if s else None for s in smooth]
-
-
-def _ballistic(bias: BiasPoint, model: TransmissionModel, kT: float) -> float:
-    """The current with the dot decoupled, A, in closed form."""
-    mu_s, mu_d = bias.mu_source, bias.mu_drain
-    if _sharp(kT, mu_s, mu_d):
-        return CURRENT_PER_MEV * sum(
-            max(0.0, mu_s - m.bottom_energy) - max(0.0, mu_d - m.bottom_energy)
-            for m in model.modes)
-    # integral of f from bottom to inf = kT * softplus((mu - bottom)/kT)
-    return CURRENT_PER_MEV * sum(
-        _softplus_energy(mu_s, m.bottom_energy, kT)
-        - _softplus_energy(mu_d, m.bottom_energy, kT) for m in model.modes)
+    if not (rows or any(smooth)):
+        return pairs, [None] * len(mus)
+    graded = _graded_rule(model, kT, list(rows), [
+        mu for mu, s in zip(mus, smooth) if s]).tolist()
+    for deficit, biases_of_row in zip(graded, rows.values()):
+        for i, sign in biases_of_row:
+            pairs[i] = pairs[i][0], sign * deficit
+    dips = iter(graded[len(rows):])
+    return pairs, [next(dips) / kT if s else None for s in smooth]
 
 
 def _conductance(model: TransmissionModel, kT: float, mu: float,
@@ -213,9 +217,8 @@ def current_components(bias: BiasPoint, model: TransmissionModel,
     exact.
     """
     kT = thermal_energy(bias.temperature)
-    (deficit,), dips = _integrals(model, kT, [bias], mus)
-    parts = (_ballistic(bias, model, kT),
-             model.weight * (CURRENT_PER_MEV * deficit))
+    ((ballistic, deficit),), dips = _integrals(model, kT, [bias], mus)
+    parts = (ballistic, model.weight * (CURRENT_PER_MEV * deficit))
     if mus:
         parts += tuple(_conductance(model, kT, mu, dip)
                        for mu, dip in zip(mus, dips))
@@ -274,13 +277,11 @@ def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
     else:
         mus = sorted({mu for b in biases for mu in (b.mu_source, b.mu_drain)})
         moving = [b for V, b in zip(V_grid, biases) if V]
-        deficits, dips = _integrals(models[0], kT, moving, mus)
-        deficit = iter(deficits)
-        parts = [(_ballistic(b, models[0], kT),
-                  CURRENT_PER_MEV * next(deficit)) if V else (0.0, 0.0)
-                 for V, b in zip(V_grid, biases)]
-        currents = [[ballistic - m.weight * d for ballistic, d in parts]
-                    for m in models]
+        pairs, dips = _integrals(models[0], kT, moving, mus)
+        pairs = iter(pairs)
+        parts = [next(pairs) if V else (0.0, 0.0) for V in V_grid]
+        currents = [[ballistic - m.weight * (CURRENT_PER_MEV * deficit)
+                     for ballistic, deficit in parts] for m in models]
         G = [dict(zip(mus, (_conductance(m, kT, mu, dip)
                             for mu, dip in zip(mus, dips)))) for m in models]
         G_diff = [[(g[b.mu_source] + g[b.mu_drain]) / 2 for b in biases]

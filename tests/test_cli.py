@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -7,13 +8,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fanospin
 from fanospin import landauer
 from fanospin.cli import main
-from fanospin.config import (GAMMA_MIN, apply_overrides, default_config,
-                             dumps, validate)
+from fanospin.config import (GAMMA_MIN, LIMIT, apply_overrides,
+                             default_config, dumps, validate)
 from fanospin.constants import CONSTANTS
 from fanospin.fano import (SpinOrientation, mode_transmission,
                           spin_channel_reflection)
@@ -103,11 +106,10 @@ def test_energy_beyond_bound_exits_1_naming_key(tmp_path, command, overrides,
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("sign, hot", [(1.0, True), (-1.0, True),
-                                       (1.0, False)])
-def test_every_energy_at_the_bound_runs_warning_free(tmp_path, sign, hot):
-    # resonance and bias window as far apart as the bounds allow:
-    # E_res = -2.75 B and a window out to 3 B (times sign)
+def _every_energy_at_the_bound(sign, hot):
+    """``--set`` arguments that put the resonance and the bias window as
+    far apart as the bounds allow: E_res = -2.75 B and a window out to 3 B
+    (times sign), with 40 k_B T at B or T = 0."""
     B = 0.1 / GAMMA_MIN
     T = B / (40 * CONSTANTS.k_B) if hot else 0.0
     while 40 * CONSTANTS.k_B * T > B:
@@ -118,10 +120,28 @@ def test_every_energy_at_the_bound_runs_warning_free(tmp_path, sign, hot):
                           "modes=" + json.dumps([
                               {"bottom_energy": -sign * B, "coupled": True},
                               {"bottom_energy": sign * B}])]
+    return [a for o in overrides for a in ("--set", o)]
+
+
+@pytest.mark.parametrize("sign, hot", [(1.0, True), (-1.0, True),
+                                       (1.0, False)])
+def test_every_energy_at_the_bound_runs_warning_free(tmp_path, sign, hot):
     for command in ("sweep", "iv", "readout"):
         proc = run_cli_strict([command, "--out", str(tmp_path / command),
-                               *(a for o in overrides for a in ("--set", o))])
+                               *_every_energy_at_the_bound(sign, hot)])
         assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("sign, hot", [(1.0, True), (-1.0, False)])
+def test_grid_at_the_bound_runs_warning_free(tmp_path, sign, hot):
+    # the grid spans +-LIMIT, every energy of the config at its bound too
+    for command in ("sweep", "iv"):
+        for overrides in ([], _every_energy_at_the_bound(sign, hot)):
+            out = tmp_path / f"{command}{len(overrides)}"
+            proc = run_cli_strict([command, f"--grid={-LIMIT!r}:{LIMIT!r}:5",
+                                   "--out", str(out), *overrides])
+            assert proc.returncode == 0, proc.stderr
+            assert len((out / f"{command}.csv").read_text().split()) == 6
 
 
 def test_gamma_below_spacing_rejected_by_every_subcommand(tmp_path, capsys):
@@ -384,10 +404,10 @@ q_im = st.one_of(st.floats(-1, 1), st.sampled_from([-1.0, 1.0]),
                  st.floats(-1.2, 1.2), st.floats())
 
 
-def _run(command, overrides, out):
+def _run(command, overrides, out, *args):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        rc = main([command, "--out", str(out),
+        rc = main([command, "--out", str(out), *args,
                    *(arg for o in overrides for arg in ("--set", o))])
     return rc, err.getvalue()
 
@@ -434,3 +454,92 @@ def test_nan_alpha_R_exits_1_naming_key(tmp_path):
     assert "invalid configuration: alpha_R: " in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "readout.json").exists()
+
+
+def _grid_ends():
+    """Each end of +-LIMIT and the floats next to it, zero of both signs,
+    both infinities and NaN."""
+    return [x for end in (-LIMIT, LIMIT)
+            for x in (end, math.nextafter(end, -math.inf),
+                      math.nextafter(end, math.inf))] + [
+        0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+grid_ends = st.one_of(st.sampled_from(_grid_ends()), st.floats(-10, 10),
+                      st.floats())
+
+
+@settings(max_examples=40, deadline=None)
+@given(start=grid_ends, stop=grid_ends,
+       count=st.one_of(st.integers(-2, 9), st.sampled_from([1, 2, 81])))
+def test_every_grid_through_cli(start, stop, count):
+    grid = f"--grid={start!r}:{stop!r}:{count}"
+    valid = -LIMIT <= start <= LIMIT and -LIMIT <= stop <= LIMIT and count > 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("sweep", "iv"):
+            out = Path(tmp) / command
+            rc, err = _run(command, [], out, grid)
+            assert "Traceback" not in err
+            if not valid:
+                assert rc == 1 and "invalid parameters: --grid: " in err, err
+                assert not out.exists()
+                continue
+            V = np.linspace(start, stop, count)
+            if command == "iv" and not (np.diff(V) > 0).all():
+                assert rc == 1 and "strictly increasing" in err, err
+                assert not out.exists()
+                continue
+            assert rc == 0, err
+            cols = _csv_columns(out / f"{command}.csv")
+            assert len(cols["E_meV" if command == "sweep" else "V_mV"]) \
+                == count
+            for key, col in cols.items():
+                assert all(math.isfinite(x) for x in col), key
+                if key.startswith("T_"):
+                    assert all(0.0 <= t <= 1.0 for t in col), key
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--eps-d", "nan"], "--eps-d"), (["--eps-d=-inf"], "--eps-d"),
+    (["--points", "0"], "--points"), (["--points", "-3"], "--points"),
+    (["--window", "-5"], "--window"), (["--window", "0"], "--window"),
+    (["--window", "inf"], "--window"), (["--window", "nan"], "--window"),
+    (["--hopping-t", "0"], "--hopping-t"),
+    (["--hopping-t", "inf"], "--hopping-t"),
+    (["--coupling-tp", "-1"], "--coupling-tp"),
+    (["--coupling-tp", "nan"], "--coupling-tp")])
+def test_bad_oracle_option_exits_1_naming_it(tmp_path, capsys, args, flag):
+    out = tmp_path / "out"
+    assert main(["oracle", *args, "--out", str(out)]) == 1
+    assert f"invalid parameters: {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["levels", "sweep", "iv", "readout",
+                                     "oracle"])
+def test_unusable_out_exits_73(tmp_path, capsys, command):
+    # --out names a file, or a path under one: one handled line, no files
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    for out in (blocker, blocker / "sub"):
+        assert main([command, "--out", str(out)]) == 73
+        err = capsys.readouterr().err
+        assert err.startswith("fanospin: cannot write --out: ")
+        assert err.count("\n") == 1
+    assert blocker.read_text() == "kept"
+
+
+def test_levels_modules_import_no_numpy():
+    # `fanospin levels` and every config check need only these modules
+    needed = {"constants", "config", "fano", "dot_spectrum"}
+    src = Path(fanospin.__file__).parent
+    for name in sorted(needed):
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                assert node.module in needed, (name, node.module)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([a.name for a in node.names]
+                           if isinstance(node, ast.Import) else [node.module])
+                assert all(m.split(".")[0] != "numpy" for m in modules), (
+                    name, modules)

@@ -31,7 +31,7 @@ def make_raw(**overrides):
 def test_validate_accepts_good_config():
     cfg = validate(make_raw())
     assert cfg.beta_value == 0.5
-    assert cfg.coupled_mode.bottom_energy == 0.0
+    assert [m.bottom_energy for m in cfg.modes if m.coupled] == [0.0]
 
 
 def test_negative_gamma_names_field():

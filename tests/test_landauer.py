@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fanospin import landauer
-from fanospin.config import DeviceConfig, Mode, Spin, validate
+from fanospin.cli import main
+from fanospin.config import DeviceConfig, Mode, Spin, default_config, validate
 from fanospin.constants import CONSTANTS, CURRENT_PER_MEV, thermal_energy
 from fanospin.dot_spectrum import ResonanceSpec
 from fanospin.fano import SpinOrientation, TransmissionModel
@@ -274,6 +275,45 @@ def test_iv_curve_passes_each_mirrored_window_once(monkeypatch, m):
     for V, p in zip(grid, curve.points):
         bias = BiasPoint(7.25 + V / 2, 7.25 - V / 2, 4.0)
         assert p.I == current(bias, model)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_iv_curve_takes_each_window_ballistic_current_once(monkeypatch,
+                                                           n_modes):
+    # +-V share one sorted window, so its ballistic current, two softplus
+    # terms per mode, is computed once for both signs
+    calls = []
+    original = landauer._softplus_energy
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(landauer, "_softplus_energy", counted)
+    modes = (Mode(0.0, coupled=True), Mode(6.5))[:n_modes]
+    cfg = validate(DeviceConfig(
+        eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0, mu_source=7.25,
+        V_sd=1.0, temperature=4.0, modes=modes))
+    grid = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+    curve = iv_curve(cfg, grid)
+    assert len(calls) == 3 * 2 * n_modes
+    for p, q in zip(curve.points, reversed(curve.points)):
+        assert p.I == -q.I
+
+
+def test_negative_bias_zero_current_is_positive_zero(tmp_path):
+    # a window below the only subband carries no current; at -V it must
+    # read 0.0 as at +V, not -0.0
+    cfg = default_config()
+    model = model_from_config(cfg)
+    assert repr(current(BiasPoint(-5.0, -4.0, 0.0), model)) == "0.0"
+    assert repr(current(BiasPoint(-4.0, -5.0, 0.0), model)) == "0.0"
+    assert main(["iv", "--set", "mu_source=-5", "--set", "temperature=0",
+                 "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "iv.csv").read_text().split("\n")[1:]
+    values = [v for row in rows if row for v in row.split(",")]
+    assert len(values) == 81 * 5
+    assert "-0.0" not in values
 
 
 def test_current_components_appends_exact_conductances(monkeypatch):

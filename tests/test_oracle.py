@@ -12,8 +12,8 @@ from fanospin.fano import fano_transmission
 from fanospin.lattice_oracle import (BandEdgeError, ExtractionError,
                                      OracleLattice, compare_to_fano,
                                      dip_minimum, effective_broadening,
-                                     oracle_reflection, oracle_transmission,
-                                     scattering_amplitudes)
+                                     oracle_reflection, oracle_transmission)
+from reference import scattering_amplitudes
 
 
 def test_decoupled_level_is_transparent():
@@ -34,6 +34,16 @@ def test_invalid_lattice_rejected():
         OracleLattice(hopping_t=0.0, site_energy_eps_d=0.0, coupling_tp=0.1)
     with pytest.raises(ValueError):
         OracleLattice(hopping_t=1.0, site_energy_eps_d=0.0, coupling_tp=-0.1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hopping_t", math.inf), ("hopping_t", math.nan),
+    ("site_energy_eps_d", math.nan), ("site_energy_eps_d", -math.inf),
+    ("coupling_tp", math.nan), ("coupling_tp", math.inf)])
+def test_non_finite_lattice_rejected(field, value):
+    fields = dict(hopping_t=1.0, site_energy_eps_d=0.0, coupling_tp=0.1)
+    with pytest.raises(ValueError):
+        OracleLattice(**dict(fields, **{field: value}))
 
 
 def test_perfect_antiresonance_at_level():

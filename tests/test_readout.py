@@ -62,17 +62,17 @@ def test_report_documents_lineshape_discrepancy():
 def test_n_qubit_single():
     for arr in Arrangement:
         out = n_qubit_reflection(ScalingModel(arr, N=1, R_single=1e-4))
-        assert out.reflection == pytest.approx(1e-4, rel=1e-12)
+        assert out == pytest.approx(1e-4, rel=1e-12)
 
 
 def test_n_qubit_incoherent_series():
     out = n_qubit_reflection(
         ScalingModel(Arrangement.RANDOM_INCOHERENT, N=10, R_single=1e-4))
-    assert out.reflection == pytest.approx(9.991e-4, rel=1e-4)
+    assert out == pytest.approx(9.991e-4, rel=1e-4)
     # exact series law for N = 2
     out2 = n_qubit_reflection(
         ScalingModel(Arrangement.RANDOM_INCOHERENT, N=2, R_single=0.3))
-    assert out2.reflection == pytest.approx(2 * 0.3 / 1.3, rel=1e-12)
+    assert out2 == pytest.approx(2 * 0.3 / 1.3, rel=1e-12)
 
 
 def _bragg_stack_reflection(R, N, tau=0.7, rho=1.9):
@@ -95,26 +95,26 @@ def test_n_qubit_coherent_amplitude_law():
         for N in (1, 2, 3, 7, 50):
             out = n_qubit_reflection(
                 ScalingModel(Arrangement.ORDERED_COHERENT, N=N, R_single=R))
-            assert out.reflection == pytest.approx(
+            assert out == pytest.approx(
                 _bragg_stack_reflection(R, N), rel=1e-9)
     # small-signal limit N^2 R, and a perfect reflector stays one
     small = n_qubit_reflection(
         ScalingModel(Arrangement.ORDERED_COHERENT, N=10, R_single=1e-8))
-    assert small.reflection == pytest.approx(1e-6, rel=1e-5)
+    assert small == pytest.approx(1e-6, rel=1e-5)
     for N in (1, 100):
         assert n_qubit_reflection(ScalingModel(
-            Arrangement.ORDERED_COHERENT, N=N, R_single=1.0)).reflection == 1.0
+            Arrangement.ORDERED_COHERENT, N=N, R_single=1.0)) == 1.0
 
 
 @given(R=st.floats(1e-8, 0.5), N=st.integers(1, 1000))
 def test_incoherent_monotone_and_bounded(R, N):
     r_n = n_qubit_reflection(
         ScalingModel(Arrangement.RANDOM_INCOHERENT, N=N, R_single=R))
-    assert 0.0 <= r_n.reflection <= 1.0
+    assert 0.0 <= r_n <= 1.0
     if N > 1:
         r_prev = n_qubit_reflection(
             ScalingModel(Arrangement.RANDOM_INCOHERENT, N=N - 1, R_single=R))
-        assert r_n.reflection >= r_prev.reflection
+        assert r_n >= r_prev
 
 
 @given(R=st.floats(1e-9, 1e-4), N=st.integers(2, 10))
@@ -125,7 +125,7 @@ def test_coherent_to_incoherent_ratio_near_N(R, N):
         ScalingModel(Arrangement.ORDERED_COHERENT, N=N, R_single=R))
     inc = n_qubit_reflection(
         ScalingModel(Arrangement.RANDOM_INCOHERENT, N=N, R_single=R))
-    assert coh.reflection / inc.reflection == pytest.approx(N, rel=0.05)
+    assert coh / inc == pytest.approx(N, rel=0.05)
 
 
 def test_scaling_model_validation():
@@ -138,7 +138,7 @@ def test_scaling_model_validation():
 def test_qnd_verdict():
     good = nondemolition_summary(make_config(beta=3.0, J=10.0, Gamma=1.0))
     assert good.qnd
-    assert good.spin_flip_time.finite
+    assert math.isfinite(good.spin_flip_time)
 
     no_so = nondemolition_summary(make_config(beta=0.0))
     assert not no_so.qnd
