@@ -6,15 +6,14 @@ __version__ = "0.1.0"
 from .constants import CONSTANTS, PhysicalConstants, rashba_beta, thermal_energy
 from .config import (ConfigError, DeviceConfig, Mode, Spin, default_config,
                      validate)
-from .dot_spectrum import (Character, Level, ResonanceSpec,
-                           analytic_eigenvalues, eigenlevels,
+from .dot_spectrum import (Character, Level, ResonanceSpec, eigenlevels,
                            levels_distinguishable, spin_flip_blocked,
                            spin_flip_time, target_level)
 from .fano import (SpinOrientation, TransmissionModel, fano_transmission,
                    mean_reflection, mode_transmission,
                    spin_channel_reflection, total_transmission)
 from .landauer import (BiasPoint, IVCurve, current, current_components,
-                       fermi, iv_curve, iv_curves, linear_conductance,
+                       iv_curve, iv_curves, linear_conductance,
                        model_from_config, optimal_bias)
 from .lattice_oracle import (BandEdgeError, ExtractionError, OracleLattice,
                              compare_to_fano, effective_broadening,

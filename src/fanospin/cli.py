@@ -11,9 +11,10 @@ Exit codes (sysexits where one fits):
 - 0 success;
 - 1 invalid input, each violation named by its config key or option: the
   config, ``--grid`` (START and STOP finite within +-``config.LIMIT``,
-  COUNT an integer >= 1) and the oracle options (``--hopping-t``,
-  ``--window`` finite and > 0, ``--coupling-tp`` finite and >= 0,
-  ``--eps-d`` finite, ``--points`` >= 1);
+  COUNT an integer in [1, ``MAX_POINTS``], for ``iv`` a strictly
+  increasing grid) and the oracle options (``--hopping-t``, ``--window``
+  finite and > 0, ``--coupling-tp`` finite and >= 0, ``--eps-d`` finite,
+  ``--points`` in [1, ``MAX_POINTS``]);
 - 2 numerical failure;
 - 64 usage error;
 - 66 unreadable config;
@@ -52,6 +53,12 @@ EXIT_USAGE = 64
 EXIT_NOINPUT = 66
 EXIT_CANTCREAT = 73
 
+#: The most points a ``--grid`` COUNT or the oracle's ``--points`` may ask
+#: for, checked before any array is allocated: the largest round count at
+#: which ``sweep``, a T = 0 ``iv`` and ``oracle`` on a one-mode device stay
+#: within 1 GiB (each peaks at about 1 kB per point).
+MAX_POINTS = 1_000_000
+
 
 def _fmt(x) -> str:
     """Full round-trip decimal representation, locale-independent."""
@@ -83,7 +90,8 @@ def _write_json(path: Path, obj):
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """START:STOP:COUNT, with finite ends within +-LIMIT and COUNT >= 1."""
+    """START:STOP:COUNT, with finite ends within +-LIMIT and
+    1 <= COUNT <= MAX_POINTS."""
     try:
         start, stop, count = text.split(":")
         start, stop, count = float(start), float(stop), int(count)
@@ -91,9 +99,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ConfigError([f"--grid: expected start:stop:count, got "
                            f"'{text}' ({exc})"]) from exc
     if not (-LIMIT <= start <= LIMIT and -LIMIT <= stop <= LIMIT
-            and count >= 1):
+            and 1 <= count <= MAX_POINTS):
         raise ConfigError([f"--grid: START and STOP must be in [{-LIMIT:g}, "
-                           f"{LIMIT:g}] and COUNT >= 1, got '{text}'"])
+                           f"{LIMIT:g}] and COUNT in [1, {MAX_POINTS}], "
+                           f"got '{text}'"])
     return np.linspace(start, stop, count)
 
 
@@ -156,9 +165,12 @@ def _run_iv(cfg: DeviceConfig, args, out: Path) -> list[Path]:
         grid = _parse_grid(args.grid)
     else:
         grid = np.linspace(-2 * cfg.Gamma, 2 * cfg.Gamma, 81)
-    if len(grid) and grid[0] == -grid[-1]:
+    if grid[0] == -grid[-1]:
         # mirror-exact: V[k] == -V[n-1-k], so I(-V) = -I(V) bit for bit
         grid = (grid - grid[::-1]) / 2
+    if not (grid[1:] > grid[:-1]).all():
+        raise ConfigError([f"--grid: the bias grid must be strictly "
+                           f"increasing, got '{args.grid}'"])
     curve_par, curve_anti = iv_curves(cfg, grid)
     path = out / "iv.csv"
     _write_csv(path,
@@ -211,7 +223,8 @@ def _run_oracle(cfg: DeviceConfig, args, out: Path) -> list[Path]:
                 ("--eps-d", args.eps_d, math.isfinite(args.eps_d), "finite"),
                 ("--window", args.window,
                  0 < args.window < math.inf, "finite and > 0"),
-                ("--points", args.points, args.points >= 1, ">= 1"))
+                ("--points", args.points, 1 <= args.points <= MAX_POINTS,
+                 f"in [1, {MAX_POINTS}]"))
             if not ok]
     if errs:
         raise ConfigError(errs)

@@ -26,9 +26,12 @@ class PhysicalConstants:
 
 CONSTANTS = PhysicalConstants()
 
+#: The conductance quantum e^2/h of one spin-polarized mode, S, computed once.
+G0 = CONSTANTS.G0_spin_polarized
+
 # Current per (meV of transmission-weighted energy integral): e/h * (meV in J).
 # I[A] = CURRENT_PER_MEV * integral_meV.
-CURRENT_PER_MEV = CONSTANTS.G0_spin_polarized * 1e-3
+CURRENT_PER_MEV = G0 * 1e-3
 
 # Zeeman splitting at a ~5 T field, used only as a fixed comparison scale
 # when judging whether a spin-orbit splitting is large.

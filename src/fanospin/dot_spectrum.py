@@ -172,11 +172,3 @@ def spin_flip_time(J: float) -> float:
     J = 0."""
     return CONSTANTS.hbar / abs(J) if J else math.inf
 
-
-def analytic_eigenvalues(J: float, beta: float) -> list[float]:
-    """Closed-form spectrum relative to eps1 + U_C, with multiplicity.
-
-    {-J/4 + beta/2, -J/4 - beta/2, J/4 + r, J/4 - r} with
-    r = sqrt(J^2 + beta^2)/2, each appearing once per l1z branch.
-    """
-    return sorted(s.energy for s in _states(0.0, J, beta))

@@ -50,6 +50,16 @@ class TransmissionModel:
         return CHANNEL_WEIGHT[self.orientation]
 
     @cached_property
+    def lineshape(self) -> tuple:
+        """What the lineshape reads: (E_res, (Im q Gamma)^2, Gamma^2, w,
+        ((bottom, coupled), ...)).  ``ResonanceSpec`` has already checked
+        Gamma > 0 and Re q = 0."""
+        res = self.resonance
+        b = res.q.imag * res.Gamma
+        return (res.energy, b * b, res.Gamma * res.Gamma, self.weight,
+                tuple((m.bottom_energy, m.coupled) for m in self.modes))
+
+    @cached_property
     def coupled_index(self) -> int:
         return next(i for i, m in enumerate(self.modes) if m.coupled)
 
@@ -75,10 +85,12 @@ def fano_transmission(detuning, Gamma: float, q: complex):
 
 def spin_channel_reflection(E, model: TransmissionModel):
     """R(E) = w * (1 - T_fano(E - E_res)); w = 1 parallel, 1/2 antiparallel.
-    E is a float or an array."""
-    res = model.resonance
-    t = fano_transmission(E - res.energy, res.Gamma, res.q)
-    return model.weight * (1.0 - t)
+    E is a float or an array; T_fano in ``fano_transmission``'s order of
+    operations, from ``model.lineshape``."""
+    E_res, b2, G2, w, _ = model.lineshape
+    eps = E - E_res
+    d2 = eps * eps
+    return w * (1.0 - (d2 + b2) / (d2 + G2))
 
 
 def mode_transmission(E, model: TransmissionModel, mode_index: int):
@@ -95,11 +107,14 @@ def mode_transmission(E, model: TransmissionModel, mode_index: int):
 def total_transmission(E, model: TransmissionModel):
     """Sum of ``mode_transmission`` over the modes, in one pass, at a float
     or an array of energies (bit for bit the per-mode sum)."""
-    coupled = 1.0 - spin_channel_reflection(E, model)
+    E_res, b2, G2, w, modes = model.lineshape
+    # spin_channel_reflection inline: a call adds a fifth to a scalar sweep
+    eps = E - E_res
+    d2 = eps * eps
+    t = 1.0 - w * (1.0 - (d2 + b2) / (d2 + G2))
     total = 0.0
-    for mode in model.modes:
-        total = total + (E >= mode.bottom_energy) * (
-            coupled if mode.coupled else 1.0)
+    for bottom, coupled in modes:
+        total = total + (E >= bottom) * (t if coupled else 1.0)
     return total
 
 

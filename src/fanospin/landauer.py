@@ -30,8 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import (CONSTANTS, CURRENT_PER_MEV, FERMI_TAIL_KT,
-                        thermal_energy)
+from .constants import CURRENT_PER_MEV, FERMI_TAIL_KT, G0, thermal_energy
 from .config import DeviceConfig, Spin
 from .dot_spectrum import target_level
 from .fano import (SpinOrientation, TransmissionModel, dip_integral,
@@ -59,18 +58,6 @@ class IVPoint:
 @dataclass(frozen=True)
 class IVCurve:
     points: tuple[IVPoint, ...]
-
-
-def fermi(E, mu: float, temperature: float):
-    """Fermi-Dirac occupancy; exact step (1/2 at E = mu) at T = 0.
-
-    Overflow-safe for arbitrarily large |E - mu| / kT.
-    """
-    kT = thermal_energy(temperature)
-    if kT == 0:
-        return np.where(E < mu, 1.0, np.where(E > mu, 0.0, 0.5))[()]
-    with np.errstate(over="ignore"):    # exp(inf) = inf gives f = 0
-        return (1.0 / (1.0 + np.exp((np.asarray(E) - mu) / kT)))[()]
 
 
 def _softplus_energy(mu: float, bottom: float, kT: float) -> float:
@@ -147,13 +134,12 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
     Each distinct sorted window (+V and -V share one) is evaluated once,
     its ballistic current next to its deficit: a sharp window in closed
     form, every other one, and every wide mu, as a row of one
-    ``_graded_rule`` call.  -V takes the ballistic current 0.0 - I(+V), so a
-    zero current stays +0.0, and the deficit -D(+V), but 0.0 for a sharp
-    window below the coupled subband."""
+    ``_graded_rule`` call.  -V takes the ballistic current 0.0 - I(+V) and
+    the deficit 0.0 - D(+V), so a zero stays +0.0."""
     res = model.resonance
     bottom = model.modes[model.coupled_index].bottom_energy
     windows, pairs = {}, []
-    rows = {}   # each graded window -> its biases' (index, sign)s
+    rows = {}   # each graded window -> its biases' (index, negative)s
     for i, b in enumerate(biases):
         negative = b.mu_source < b.mu_drain
         window = lo, hi = ((b.mu_source, b.mu_drain) if negative
@@ -169,15 +155,12 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
                 ballistic = CURRENT_PER_MEV * sum([
                     max(0.0, hi - m.bottom_energy)
                     - max(0.0, lo - m.bottom_energy) for m in model.modes])
-                lo = max(bottom, lo)
-                if lo < hi:
-                    deficit = dip_integral(res, lo, hi)
-                    windows[window] = ballistic, deficit, -deficit
-                else:       # the window is below the coupled subband
-                    windows[window] = ballistic, 0.0, 0.0
+                lo = max(bottom, lo)    # no dip below the coupled subband
+                deficit = dip_integral(res, lo, hi) if lo < hi else 0.0
+                windows[window] = ballistic, deficit, 0.0 - deficit
         ballistic, plus, minus = windows[window]
         if plus is None:
-            rows.setdefault(window, []).append((i, -1.0 if negative else 1.0))
+            rows.setdefault(window, []).append((i, negative))
         pairs.append((0.0 - ballistic, minus) if negative
                      else (ballistic, plus))
     smooth = [not _sharp(kT, mu) for mu in mus]
@@ -186,8 +169,8 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
     graded = _graded_rule(model, kT, list(rows), [
         mu for mu, s in zip(mus, smooth) if s]).tolist()
     for deficit, biases_of_row in zip(graded, rows.values()):
-        for i, sign in biases_of_row:
-            pairs[i] = pairs[i][0], sign * deficit
+        for i, negative in biases_of_row:
+            pairs[i] = pairs[i][0], 0.0 - deficit if negative else deficit
     dips = iter(graded[len(rows):])
     return pairs, [next(dips) / kT if s else None for s in smooth]
 
@@ -197,12 +180,12 @@ def _conductance(model: TransmissionModel, kT: float, mu: float,
     """The linear conductance in S from the dip share of ``_integrals``:
     G0 [sum_m f(bottom_m) - w dip], or G0 T(mu) where the window is sharp."""
     if dip is None:
-        return CONSTANTS.G0_spin_polarized * total_transmission(mu, model)
+        return G0 * total_transmission(mu, model)
     occupied = 0.0
     for x in ((m.bottom_energy - mu) / kT for m in model.modes):
         e = math.exp(-abs(x))           # f(bottom), with no overflow
         occupied += (e if x > 0 else 1.0) / (1.0 + e)
-    return CONSTANTS.G0_spin_polarized * (occupied - model.weight * dip)
+    return G0 * (occupied - model.weight * dip)
 
 
 def current_components(bias: BiasPoint, model: TransmissionModel,
@@ -271,8 +254,7 @@ def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
         currents = [[current(b, m) if V else 0.0
                      for V, b in zip(V_grid, biases)] for m in models]
         mu = np.array([(b.mu_source, b.mu_drain) for b in biases])
-        G = [CONSTANTS.G0_spin_polarized * total_transmission(mu, m)
-             for m in models]
+        G = [G0 * total_transmission(mu, m) for m in models]
         G_diff = [((g[:, 0] + g[:, 1]) / 2).tolist() for g in G]
     else:
         mus = sorted({mu for b in biases for mu in (b.mu_source, b.mu_drain)})

@@ -10,8 +10,8 @@ from matching plane-wave solutions across that site:
 
 This is the retarded-Green's-function (self-energy) route; it involves no
 lineshape ansatz, so it serves as an independent check of the analytic Fano
-formula in the weak-coupling limit.  ``oracle_transmission`` and
-``oracle_reflection`` take a float or a numpy array and use the real form
+formula in the weak-coupling limit.  ``oracle_transmission`` takes a
+float or a numpy array and uses the real form
 |tau|^2 = v^2 d^2 / (v^2 d^2 + tp^4) = 1 / (1 + (sigma/v)^2), v = 2 t sin k,
 d = E - eps_d, so ``compare_to_fano`` evaluates both lineshapes once on its
 whole grid.
@@ -83,11 +83,6 @@ def oracle_transmission(E, lattice: OracleLattice):
             s = p / x * p
             T = 1.0 / (1.0 + s * s)
     return float(T) if T.ndim == 0 else T
-
-
-def oracle_reflection(E, lattice: OracleLattice):
-    """|r|^2 = 1 - |tau|^2 (unitarity), float or array like E."""
-    return 1.0 - oracle_transmission(E, lattice)
 
 
 def dip_minimum(lattice: OracleLattice) -> float:

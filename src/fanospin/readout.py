@@ -86,7 +86,8 @@ def readout_report(config: DeviceConfig) -> ReadoutReport:
     # the deficit and the conductance at the dip: two rows of one kernel call
     I_ball, d_par, G_res = current_components(bias, model_par, res.energy)
     d_anti = CHANNEL_WEIGHT[SpinOrientation.ANTIPARALLEL] * d_par
-    rel = lambda d: d / I_ball if I_ball != 0 else 0.0
+    # no deficit is no decrease, +0.0 at a negative bias too
+    rel = lambda d: d / I_ball if d and I_ball else 0.0
     return ReadoutReport(
         I_ballistic=I_ball,
         I_parallel=I_ball - d_par,

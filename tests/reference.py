@@ -1,12 +1,14 @@
 """Independent references the closed forms in ``fanospin`` are tested
-against: the dot's 8x8 Hamiltonian and the oracle's complex scattering
-amplitudes."""
+against: the dot's 8x8 Hamiltonian and its closed-form spectrum, the
+Fermi function, and the oracle's complex scattering amplitudes and
+reflection."""
 
 import math
 
 import numpy as np
 
-from fanospin.lattice_oracle import BandEdgeError
+from fanospin.constants import thermal_energy
+from fanospin.lattice_oracle import BandEdgeError, oracle_transmission
 
 #: The product states |l1z, s0z, s1z>: l1z = +-1 (excited-orbital angular
 #: momentum projection), s0z, s1z = +-1/2 (ground / excited electron spins).
@@ -36,6 +38,32 @@ def two_electron_hamiltonian(config) -> np.ndarray:
         if s0z != s1z:
             H[i, index[(l1z, s1z, s0z)]] = -J / 2.0
     return H
+
+
+def analytic_eigenvalues(J: float, beta: float) -> list[float]:
+    """Closed-form spectrum relative to eps1 + U_C, with multiplicity:
+    {-J/4 + beta/2, -J/4 - beta/2, J/4 + r, J/4 - r} with
+    r = sqrt(J^2 + beta^2)/2, each once per l1z branch."""
+    r = math.hypot(J, beta) / 2
+    return sorted(2 * [-J / 4 + beta / 2, -J / 4 - beta / 2,
+                       J / 4 + r, J / 4 - r])
+
+
+def fermi(E, mu: float, temperature: float):
+    """Fermi-Dirac occupancy; exact step (1/2 at E = mu) at T = 0.
+
+    Overflow-safe for arbitrarily large |E - mu| / kT.
+    """
+    kT = thermal_energy(temperature)
+    if kT == 0:
+        return np.where(E < mu, 1.0, np.where(E > mu, 0.0, 0.5))[()]
+    with np.errstate(over="ignore"):    # exp(inf) = inf gives f = 0
+        return (1.0 / (1.0 + np.exp((np.asarray(E) - mu) / kT)))[()]
+
+
+def oracle_reflection(E, lattice):
+    """|r|^2 = 1 - |tau|^2 (unitarity), float or array like E."""
+    return 1.0 - oracle_transmission(E, lattice)
 
 
 def scattering_amplitudes(E: float, lattice) -> tuple[complex, complex]:

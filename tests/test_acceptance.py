@@ -11,18 +11,18 @@ import pytest
 from fanospin.config import DeviceConfig, Mode, validate
 from fanospin.constants import CONSTANTS
 from fanospin.cli import main
-from fanospin.dot_spectrum import (ResonanceSpec, analytic_eigenvalues,
-                                   spin_flip_blocked)
+from fanospin.dot_spectrum import ResonanceSpec, spin_flip_blocked
 from fanospin.fano import (SpinOrientation, TransmissionModel,
                            fano_transmission, mean_reflection,
                            spin_channel_reflection)
 from fanospin.landauer import (BiasPoint, current_components,
                                linear_conductance)
 from fanospin.lattice_oracle import (OracleLattice, compare_to_fano,
-                                     oracle_reflection, oracle_transmission)
+                                     oracle_transmission)
 from fanospin.readout import (Arrangement, ScalingModel, n_qubit_reflection,
                               readout_report)
-from reference import two_electron_hamiltonian
+from reference import (analytic_eigenvalues, oracle_reflection,
+                       two_electron_hamiltonian)
 
 G0 = CONSTANTS.G0_spin_polarized
 

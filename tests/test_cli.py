@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import fanospin
 from fanospin import landauer
-from fanospin.cli import main
+from fanospin.cli import MAX_POINTS, main
 from fanospin.config import (GAMMA_MIN, LIMIT, apply_overrides,
                              default_config, dumps, validate)
 from fanospin.constants import CONSTANTS
@@ -474,7 +474,8 @@ grid_ends = st.one_of(st.sampled_from(_grid_ends()), st.floats(-10, 10),
        count=st.one_of(st.integers(-2, 9), st.sampled_from([1, 2, 81])))
 def test_every_grid_through_cli(start, stop, count):
     grid = f"--grid={start!r}:{stop!r}:{count}"
-    valid = -LIMIT <= start <= LIMIT and -LIMIT <= stop <= LIMIT and count > 0
+    valid = (-LIMIT <= start <= LIMIT and -LIMIT <= stop <= LIMIT
+             and 0 < count <= MAX_POINTS)
     with tempfile.TemporaryDirectory() as tmp:
         for command in ("sweep", "iv"):
             out = Path(tmp) / command
@@ -485,8 +486,11 @@ def test_every_grid_through_cli(start, stop, count):
                 assert not out.exists()
                 continue
             V = np.linspace(start, stop, count)
+            if command == "iv" and V[0] == -V[-1]:
+                V = (V - V[::-1]) / 2       # the mirror-exact bias grid
             if command == "iv" and not (np.diff(V) > 0).all():
-                assert rc == 1 and "strictly increasing" in err, err
+                assert rc == 1 and "invalid parameters: --grid: " in err, err
+                assert "strictly increasing" in err, err
                 assert not out.exists()
                 continue
             assert rc == 0, err
@@ -497,6 +501,51 @@ def test_every_grid_through_cli(start, stop, count):
                 assert all(math.isfinite(x) for x in col), key
                 if key.startswith("T_"):
                     assert all(0.0 <= t <= 1.0 for t in col), key
+
+
+@pytest.mark.parametrize("grid", [
+    "1:1:3", "6.7e152:6.7e152:3", "2:1:3",
+    "-1e-323:1e-323:4"])        # mirroring puts -0.0 next to 0.0
+def test_bias_grid_not_increasing_exits_1_naming_grid(tmp_path, grid):
+    out = tmp_path / "out"
+    rc, err = _run("iv", [], out, f"--grid={grid}")
+    assert rc == 1
+    assert "invalid parameters: --grid: " in err, err
+    assert "strictly increasing" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args, flag", [
+    ("sweep", [f"--grid=0:1:{MAX_POINTS + 1}"], "--grid"),
+    ("iv", [f"--grid=0:1:{MAX_POINTS + 1}"], "--grid"),
+    ("iv", [f"--grid=0:1:{10 ** 30}"], "--grid"),
+    ("oracle", ["--points", str(MAX_POINTS + 1)], "--points"),
+    ("oracle", ["--points", str(10 ** 30)], "--points")])
+def test_oversized_point_count_exits_1_naming_it(tmp_path, command, args,
+                                                 flag):
+    # only counts above the bound: nothing of that size is ever allocated
+    out = tmp_path / "out"
+    rc, err = _run(command, [], out, *args)
+    assert rc == 1
+    assert f"invalid parameters: {flag}: " in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    ["q=[0,1]"], ["q=[0,1]", "temperature=0"], ["q=[0,1]", "temperature=4"],
+    ["mu_source=-5"], ["mu_source=-5", "temperature=0"]])
+def test_negative_bias_zero_deficit_reads_positive_zero(tmp_path, overrides):
+    # no deficit (|q| = 1, or a window below the subband) at V_sd < 0
+    rc, err = _run("readout", ["V_sd=-1", *overrides], tmp_path)
+    assert rc == 0, err
+    text = (tmp_path / "readout.json").read_text()
+    assert "-0.0" not in text
+    report = json.loads(text)
+    for key in ("delta_I_parallel_A", "delta_I_antiparallel_A", "contrast",
+                "relative_decrease_parallel",
+                "relative_decrease_antiparallel"):
+        assert math.copysign(1.0, report[key]) == 1.0 and report[key] == 0.0
 
 
 @pytest.mark.parametrize("args, flag", [

@@ -7,11 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from fanospin.config import ConfigError, DeviceConfig, Mode, validate
 from fanospin.dot_spectrum import (CHARACTER_TIE_TOL, DEGENERACY_TOL,
-                                   Character, analytic_eigenvalues,
-                                   eigenlevels, levels_distinguishable,
-                                   spin_flip_blocked, spin_flip_time,
-                                   target_level)
-from reference import BASIS, two_electron_hamiltonian
+                                   Character, eigenlevels,
+                                   levels_distinguishable, spin_flip_blocked,
+                                   spin_flip_time, target_level)
+from reference import BASIS, analytic_eigenvalues, two_electron_hamiltonian
 
 jb = st.floats(min_value=-20, max_value=20, allow_nan=False)
 

@@ -113,6 +113,14 @@ def test_array_transmission_matches_scalar_bit_for_bit(
         column = mode_transmission(grid, m, i)
         assert column.tolist() == [mode_transmission(float(E), m, i)
                                    for E in grid]
+    # the model's cached lineshape in fano_transmission's order of operations
+    reflection = spin_channel_reflection(grid, m)
+    assert reflection.tolist() == [spin_channel_reflection(float(E), m)
+                                   for E in grid]
+    assert reflection.tolist() == [
+        m.weight * (1.0 - fano_transmission(float(E) - E0, Gamma,
+                                            complex(0.0, q_imag)))
+        for E in grid]
     total = total_transmission(grid, m)
     assert total.tolist() == [total_transmission(float(E), m) for E in grid]
     assert total.tolist() == [

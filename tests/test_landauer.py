@@ -12,10 +12,11 @@ from fanospin.config import DeviceConfig, Mode, Spin, default_config, validate
 from fanospin.constants import CONSTANTS, CURRENT_PER_MEV, thermal_energy
 from fanospin.dot_spectrum import ResonanceSpec
 from fanospin.fano import SpinOrientation, TransmissionModel
-from fanospin.landauer import (BiasPoint, current, current_components, fermi,
+from fanospin.landauer import (BiasPoint, current, current_components,
                                iv_curve, iv_curves, linear_conductance,
                                model_from_config, optimal_bias)
 from fanospin.readout import readout_report
+from reference import fermi
 
 G0 = CONSTANTS.G0_spin_polarized
 
@@ -215,13 +216,18 @@ iv_temperatures = st.one_of(st.sampled_from([0.0, 1e-300]),
 @settings(max_examples=60, deadline=None)
 @given(T=iv_temperatures, q=st.floats(0, 1), Gamma=st.floats(0.05, 3.0),
        offset=st.floats(-2.0, 2.0), two_modes=st.booleans(),
-       half_width=st.floats(0.01, 6.0), n=st.integers(1, 6))
+       half_width=st.floats(0.01, 6.0), n=st.integers(1, 6),
+       bottom=st.one_of(st.just(0.0), st.floats(-2.0, 10.0)))
 @example(T=0.1, q=0.0, Gamma=1.0, offset=0.0, two_modes=False,
-         half_width=2.0, n=3)
+         half_width=2.0, n=3, bottom=0.0)
+@example(T=0.0, q=0.0, Gamma=1.0, offset=0.0, two_modes=True,
+         half_width=4.0, n=4, bottom=7.0)
 def test_iv_curve_is_current_and_exact_dIdV_pointwise(
-        T, q, Gamma, offset, two_modes, half_width, n):
-    # the one-pass kernel against its one-row calls, bit for bit
-    modes = (Mode(0.0, coupled=True),) + ((Mode(7.6),) if two_modes else ())
+        T, q, Gamma, offset, two_modes, half_width, n, bottom):
+    # the one-pass kernel against its one-row calls, bit for bit; with the
+    # coupled subband bottom up to 10 meV, some windows lie below it
+    modes = (Mode(bottom, coupled=True),) + ((Mode(7.6),) if two_modes
+                                            else ())
     cfg = validate(DeviceConfig(
         eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=Gamma, q=complex(0, q),
         mu_source=7.25 + offset, V_sd=1.0, temperature=T, modes=modes))
@@ -231,15 +237,18 @@ def test_iv_curve_is_current_and_exact_dIdV_pointwise(
         warnings.simplefilter("error")
         curve = iv_curve(cfg, grid)
         curves = iv_curves(cfg, grid)
-    model = model_from_config(cfg)
-    I = [p.I for p in curve.points]
-    assert I == [-i for i in reversed(I)]
-    for V, p in zip(grid, curve.points):
-        bias = BiasPoint(cfg.mu_source + V / 2, cfg.mu_source - V / 2, T)
-        assert p.V_sd == V
-        assert p.I == current(bias, model)
-        assert p.G_diff == (linear_conductance(model, T, bias.mu_source)
-                            + linear_conductance(model, T, bias.mu_drain)) / 2
+    assert curve == curves[0 if cfg.dot_spin is Spin.UP else 1]
+    model = model_from_config(cfg, SpinOrientation.PARALLEL)
+    anti = dataclasses.replace(model, orientation=SpinOrientation.ANTIPARALLEL)
+    for m, c in zip((model, anti), curves):
+        I = [p.I for p in c.points]
+        assert I == [-i for i in reversed(I)]
+        for V, p in zip(grid, c.points):
+            bias = BiasPoint(cfg.mu_source + V / 2, cfg.mu_source - V / 2, T)
+            assert p.V_sd == V
+            assert p.I == current(bias, m)
+            assert p.G_diff == (linear_conductance(m, T, bias.mu_source)
+                                + linear_conductance(m, T, bias.mu_drain)) / 2
     assert curves == (iv_curve(dataclasses.replace(cfg, dot_spin=Spin.UP),
                                grid),
                       iv_curve(dataclasses.replace(cfg, dot_spin=Spin.DOWN),

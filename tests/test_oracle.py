@@ -12,8 +12,8 @@ from fanospin.fano import fano_transmission
 from fanospin.lattice_oracle import (BandEdgeError, ExtractionError,
                                      OracleLattice, compare_to_fano,
                                      dip_minimum, effective_broadening,
-                                     oracle_reflection, oracle_transmission)
-from reference import scattering_amplitudes
+                                     oracle_transmission)
+from reference import oracle_reflection, scattering_amplitudes
 
 
 def test_decoupled_level_is_transparent():
