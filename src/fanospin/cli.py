@@ -20,6 +20,12 @@ Exit codes (sysexits where one fits):
 - 66 unreadable config;
 - 73 the output cannot be created (``--out`` names a file, or a path
   under one, or is not writable).
+
+numpy, and the modules that compute with it (``landauer``,
+``lattice_oracle``, ``readout``), are imported inside the runners that use
+them, so ``levels``, ``--help``, usage errors and every rejected or
+unreadable config run without numpy.  The manifest's ``versions`` records
+numpy's version only when the run loaded it.
 """
 
 from __future__ import annotations
@@ -33,18 +39,13 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import (LIMIT, ConfigError, DeviceConfig, apply_overrides,
-                     default_config, dumps, load_file, validate)
+from .config import (LIMIT, BandEdgeError, ConfigError, DeviceConfig,
+                     ExtractionError, apply_overrides, default_config, dumps,
+                     load_file, validate)
 from .dot_spectrum import eigenlevels
 from .fano import (SpinOrientation, mode_transmission,
                    spin_channel_reflection)
-from .landauer import iv_curves, model_from_config
-from .lattice_oracle import (BandEdgeError, ExtractionError, OracleLattice,
-                             compare_to_fano)
-from .readout import nondemolition_summary, readout_report
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -89,9 +90,11 @@ def _write_json(path: Path, obj):
     _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str):
     """START:STOP:COUNT, with finite ends within +-LIMIT and
-    1 <= COUNT <= MAX_POINTS."""
+    1 <= COUNT <= MAX_POINTS, as a numpy linspace."""
+    import numpy as np
+
     try:
         start, stop, count = text.split(":")
         start, stop, count = float(start), float(stop), int(count)
@@ -128,6 +131,9 @@ def _run_levels(cfg: DeviceConfig, args, out: Path) -> list[Path]:
 
 
 def _run_sweep(cfg: DeviceConfig, args, out: Path) -> list[Path]:
+    import numpy as np
+    from .landauer import model_from_config
+
     model_par = model_from_config(cfg, SpinOrientation.PARALLEL)
     model_anti = replace(model_par, orientation=SpinOrientation.ANTIPARALLEL)
     res = model_par.resonance
@@ -161,6 +167,9 @@ def _run_sweep(cfg: DeviceConfig, args, out: Path) -> list[Path]:
 
 
 def _run_iv(cfg: DeviceConfig, args, out: Path) -> list[Path]:
+    import numpy as np
+    from .landauer import iv_curves
+
     if args.grid:
         grid = _parse_grid(args.grid)
     else:
@@ -182,6 +191,8 @@ def _run_iv(cfg: DeviceConfig, args, out: Path) -> list[Path]:
 
 
 def _run_readout(cfg: DeviceConfig, args, out: Path) -> list[Path]:
+    from .readout import nondemolition_summary, readout_report
+
     report = readout_report(cfg)
     summary = nondemolition_summary(cfg)
     flip_time_finite = math.isfinite(summary.spin_flip_time)
@@ -214,6 +225,9 @@ def _run_readout(cfg: DeviceConfig, args, out: Path) -> list[Path]:
 
 
 def _run_oracle(cfg: DeviceConfig, args, out: Path) -> list[Path]:
+    import numpy as np
+    from .lattice_oracle import OracleLattice, compare_to_fano
+
     errs = [f"{flag}: must be {rule}, got {value}"
             for flag, value, ok, rule in (
                 ("--hopping-t", args.hopping_t,
@@ -240,6 +254,14 @@ def _run_oracle(cfg: DeviceConfig, args, out: Path) -> list[Path]:
                                 np.abs(t_oracle - t_fano))).tolist(),
                comment=f"Gamma_eff_meV={gamma!r} max_abs_deviation={dev!r}")
     return [path]
+
+
+def _versions() -> dict[str, str]:
+    """Python's version, and numpy's if this run loaded it."""
+    versions = {"python": "%d.%d.%d" % sys.version_info[:3]}
+    if "numpy" in sys.modules:
+        versions["numpy"] = sys.modules["numpy"].__version__
+    return versions
 
 
 RUNNERS = {
@@ -319,6 +341,7 @@ def main(argv=None) -> int:
             "config_digest": hashlib.sha256(
                 dumps(cfg).encode("utf-8")).hexdigest(),
             "tool_version": __version__,
+            "versions": _versions(),
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "overrides": list(args.set),
             "outputs": [str(p) for p in outputs],

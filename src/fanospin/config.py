@@ -45,6 +45,17 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+# The lattice oracle's errors live here, next to ConfigError, so that the
+# CLI can name every error it handles without importing numpy.
+class BandEdgeError(ValueError):
+    """Energy outside the propagating band |E| < 2t."""
+
+
+class ExtractionError(RuntimeError):
+    """No dip, a dip flank that never recovers to half depth, or a dip that
+    floating point cannot resolve."""
+
+
 @dataclass(frozen=True)
 class Mode:
     """One transversal-quantization subband of the wire."""

@@ -39,6 +39,10 @@ from .fano import (SpinOrientation, TransmissionModel, dip_integral,
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 #: Node offsets and weights on a panel of unit width, as columns.
 _GL_STEPS, _GL_WEIGHTS = (_GL_NODES[:, None] + 1) / 2, _GL_WEIGHTS[:, None] / 2
+#: Rows of ``_graded_rule`` evaluated at once, so a long call holds the node
+#: arrays (tens of kB a row) of one block, not of every row; the 121 rows of
+#: the default 81-bias ``iv`` stay one block.
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,10 @@ def _graded_rule(model: TransmissionModel, kT: float, windows, points):
     of (1 - T_fano) kT (-df/dE).
 
     A row's breakpoints are its ends and E_res +- Gamma 2^k, mu +- pi kT 2^k
-    for k < n, clipped to the row.  n comes from the widest span of the
-    call; the steps past a row's own reach clip onto its ends, and zero-width
-    panels are dropped, so each row sees the panels of its one-row call and
+    for k < n, clipped to the row.  n comes from the widest span of a block
+    of ``_BLOCK_ROWS`` rows, which bounds the memory of a long call; the
+    steps past a row's own reach clip onto its ends, and zero-width panels
+    are dropped, so each row sees the panels of its one-row call and
     bincount sums them in the same order: a row equals that call bit for bit.
 
     The Fermi factor, sinh(d) / (cosh(c) + cosh(d)) for a window of
@@ -92,6 +97,12 @@ def _graded_rule(model: TransmissionModel, kT: float, windows, points):
     """
     rows = ([(lo, hi, -math.expm1((lo - hi) / kT)) for lo, hi in windows]
             + [(mu, mu, 1.0) for mu in points])     # numerator 1 - e^-2d
+    return np.concatenate([_graded_block(model, kT, rows[i:i + _BLOCK_ROWS])
+                           for i in range(0, len(rows), _BLOCK_ROWS)])
+
+
+def _graded_block(model: TransmissionModel, kT: float, rows):
+    """``_graded_rule`` on rows of (mu_lo, mu_hi, Fermi numerator)."""
     res, tail, pkT = model.resonance, FERMI_TAIL_KT * kT, math.pi * kT
     bottom = model.modes[model.coupled_index].bottom_energy
     # per row: its ends, E_res, its mu's; Fermi centre, d, 1 + e^-2d, numerator

@@ -26,17 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GAMMA_MIN
+from .config import GAMMA_MIN, BandEdgeError, ExtractionError
 from .fano import fano_transmission
-
-
-class BandEdgeError(ValueError):
-    """Energy outside the propagating band |E| < 2t."""
-
-
-class ExtractionError(RuntimeError):
-    """No dip, a dip flank that never recovers to half depth, or a dip that
-    floating point cannot resolve."""
 
 
 @dataclass(frozen=True)

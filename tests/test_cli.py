@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import fanospin
 from fanospin import landauer
-from fanospin.cli import MAX_POINTS, main
+from fanospin.cli import MAX_POINTS, SUBCOMMANDS, main
 from fanospin.config import (GAMMA_MIN, LIMIT, apply_overrides,
                              default_config, dumps, validate)
 from fanospin.constants import CONSTANTS
@@ -579,16 +579,65 @@ def test_unusable_out_exits_73(tmp_path, capsys, command):
 
 
 def test_levels_modules_import_no_numpy():
-    # `fanospin levels` and every config check need only these modules
+    # `fanospin levels` and every config check need only these modules, and
+    # the package and the CLI import nothing else at module level
     needed = {"constants", "config", "fano", "dot_spectrum"}
     src = Path(fanospin.__file__).parent
-    for name in sorted(needed):
+    for name in sorted(needed | {"__init__", "cli"}):
         tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
+        for node in ast.walk(tree) if name in needed else tree.body:
             if isinstance(node, ast.ImportFrom) and node.level:
-                assert node.module in needed, (name, node.module)
+                targets = ([node.module] if node.module
+                           else [a.name for a in node.names])
+                assert all(t in needed or not (src / f"{t}.py").exists()
+                           for t in targets), (name, targets)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 modules = ([a.name for a in node.names]
                            if isinstance(node, ast.Import) else [node.module])
                 assert all(m.split(".")[0] != "numpy" for m in modules), (
                     name, modules)
+
+
+#: Runs ``python -m fanospin ARGS...`` and prints, as the last line of
+#: stdout, whether numpy was loaded when the run ended.
+NUMPY_PROBE = ("import runpy, sys\n"
+               "try:\n"
+               "    runpy.run_module('fanospin', run_name='__main__', "
+               "alter_sys=True)\n"
+               "finally:\n"
+               "    print('numpy loaded:', 'numpy' in sys.modules)\n")
+
+
+@pytest.mark.parametrize("args, code, numpy_loaded, needle", [
+    (["levels"], 0, False, None),
+    (["--help"], 0, False, "usage: fanospin"),
+    (["frobnicate"], 64, False, "unknown subcommand 'frobnicate'"),
+    (["levels", "--config", "MISSING"], 66, False, "cannot read config"),
+    (["iv", "--set", "Gamma=0"], 1, False, "invalid configuration: Gamma"),
+    (["sweep"], 0, True, None),
+    (["iv"], 0, True, None),
+], ids=["levels", "help", "usage", "unreadable", "rejected", "sweep", "iv"])
+def test_numpy_loads_only_where_a_subcommand_computes(tmp_path, args, code,
+                                                      numpy_loaded, needle):
+    out = tmp_path / "out"
+    args = [str(tmp_path / "missing.json") if a == "MISSING" else a
+            for a in args]
+    if args[0] in SUBCOMMANDS:
+        args += ["--out", str(out)]
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    *stdout, probe = proc.stdout.splitlines()
+    assert probe == f"numpy loaded: {numpy_loaded}"
+    if needle is not None:
+        assert needle in "\n".join(stdout) + proc.stderr
+    if code:
+        assert "Traceback" not in proc.stderr and not out.exists()
+        return
+    if args[0] in SUBCOMMANDS:
+        manifest = json.loads((out / "manifest.json").read_text())
+        expected = {"python": "%d.%d.%d" % sys.version_info[:3]}
+        if numpy_loaded:
+            expected["numpy"] = np.__version__
+        assert manifest["versions"] == expected
+        assert manifest["outputs"] == [str(out / f"{args[0]}.csv")]

@@ -207,6 +207,24 @@ def test_iv_curves_equal_each_orientation_bit_for_bit(T, grid):
                             grid)
 
 
+@pytest.mark.parametrize("block", [1, 3])
+def test_graded_rule_blocks_change_no_row(monkeypatch, block):
+    # rows evaluated a few at a time, windows and points sharing a block,
+    # equal the call that evaluates them all at once
+    model = make_model(E0=5.0, bottom=0.0, q=0.4j)
+    kT = thermal_energy(4.0)
+    windows = [(5.0 - v, 5.0 + v) for v in (0.25, 1.0, 2.0, 8.0)]
+    points = [-1.0, 4.5, 5.0, 6.0, 30.0]
+    cfg = validate(dataclasses.replace(default_config(), temperature=0.1))
+    grid = np.linspace(-2.0, 2.0, 81)
+    assert len(windows) + len(points) <= landauer._BLOCK_ROWS
+    rows = landauer._graded_rule(model, kT, windows, points).tolist()
+    curves = iv_curves(cfg, grid)
+    monkeypatch.setattr(landauer, "_BLOCK_ROWS", block)
+    assert landauer._graded_rule(model, kT, windows, points).tolist() == rows
+    assert iv_curves(cfg, grid) == curves
+
+
 #: T = 0, a temperature whose k_B T is below every float spacing, and
 #: 0.1-100 K.
 iv_temperatures = st.one_of(st.sampled_from([0.0, 1e-300]),
