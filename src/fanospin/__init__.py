@@ -1,9 +1,12 @@
 """Simulator for non-demolition single-spin readout via Fano antiresonance
 in a spin-polarized quantum wire coupled to a quantum dot.
 
-The numpy-free modules are imported with the package.  The three that
-compute with numpy, and their names, load on first access (PEP 562), so
-``import fanospin`` and ``fanospin levels`` run without numpy."""
+The level-diagram modules are imported with the package.  The transport
+modules, and their names, load on first access (PEP 562); of these only
+``lattice_oracle`` imports numpy with the module, and ``landauer`` imports
+it when its finite-temperature kernel first runs.  So ``import fanospin``
+runs without numpy, and so do ``levels``, ``sweep`` and the T = 0 ``iv``
+and ``readout``."""
 
 __version__ = "0.1.0"
 
@@ -19,8 +22,8 @@ from .fano import (SpinOrientation, TransmissionModel, fano_transmission,
                    mean_reflection, mode_transmission,
                    spin_channel_reflection, total_transmission)
 
-#: The names each numpy module serves from the package, imported on first
-#: access; each module's own name is served too.
+#: The names each transport module serves from the package, imported on
+#: first access; each module's own name is served too.
 _LAZY = {
     "landauer": ("BiasPoint", "IVCurve", "current", "current_components",
                  "iv_curve", "iv_curves", "linear_conductance",

@@ -21,11 +21,13 @@ Exit codes (sysexits where one fits):
 - 73 the output cannot be created (``--out`` names a file, or a path
   under one, or is not writable).
 
-numpy, and the modules that compute with it (``landauer``,
-``lattice_oracle``, ``readout``), are imported inside the runners that use
-them, so ``levels``, ``--help``, usage errors and every rejected or
-unreadable config run without numpy.  The manifest's ``versions`` records
-numpy's version only when the run loaded it.
+The transport modules (``landauer``, ``lattice_oracle``, ``readout``) are
+imported inside the runners that use them, and numpy only where arrays are
+computed: the finite-temperature graded rule and the lattice oracle.  So
+``levels``, ``sweep``, a T = 0 ``iv`` or ``readout``, ``--help``, usage
+errors and every rejected or unreadable config run without numpy; grids
+are lists from ``_linspace``.  The manifest's ``versions`` records numpy's
+version only when the run loaded it.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from .config import (LIMIT, BandEdgeError, ConfigError, DeviceConfig,
                      ExtractionError, apply_overrides, default_config, dumps,
                      load_file, validate)
 from .dot_spectrum import eigenlevels
-from .fano import (SpinOrientation, mode_transmission,
-                   spin_channel_reflection)
+from .fano import SpinOrientation, spin_channel_reflection
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -55,9 +56,10 @@ EXIT_NOINPUT = 66
 EXIT_CANTCREAT = 73
 
 #: The most points a ``--grid`` COUNT or the oracle's ``--points`` may ask
-#: for, checked before any array is allocated: the largest round count at
-#: which ``sweep``, a T = 0 ``iv`` and ``oracle`` on a one-mode device stay
-#: within 1 GiB (each peaks at about 1 kB per point).
+#: for, checked before any grid is built: the largest round count at which
+#: every subcommand stays within 1 GiB.  At this count a finite-T ``iv``
+#: (0.1 K, default device) peaked at 971 MiB, a T = 0 ``iv`` at 777 MiB, a
+#: three-mode ``sweep`` at 546 MiB and ``oracle`` at 571 MiB.
 MAX_POINTS = 1_000_000
 
 
@@ -90,11 +92,24 @@ def _write_json(path: Path, obj):
     _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _parse_grid(text: str):
-    """START:STOP:COUNT, with finite ends within +-LIMIT and
-    1 <= COUNT <= MAX_POINTS, as a numpy linspace."""
-    import numpy as np
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """``numpy.linspace(start, stop, count)`` bit for bit, as a list."""
+    delta = stop - start
+    if count == 1:
+        return [0.0 * delta + start]
+    div = count - 1
+    step = delta / div
+    if step == 0:   # numpy's path for a subnormal step
+        grid = [k / div * delta + start for k in range(count)]
+    else:
+        grid = [k * step + start for k in range(count)]
+    grid[-1] = stop
+    return grid
 
+
+def _parse_grid(text: str) -> list[float]:
+    """START:STOP:COUNT, with finite ends within +-LIMIT and
+    1 <= COUNT <= MAX_POINTS, as a ``_linspace``."""
     try:
         start, stop, count = text.split(":")
         start, stop, count = float(start), float(stop), int(count)
@@ -106,7 +121,7 @@ def _parse_grid(text: str):
         raise ConfigError([f"--grid: START and STOP must be in [{-LIMIT:g}, "
                            f"{LIMIT:g}] and COUNT in [1, {MAX_POINTS}], "
                            f"got '{text}'"])
-    return np.linspace(start, stop, count)
+    return _linspace(start, stop, count)
 
 
 def _load_config(args) -> DeviceConfig:
@@ -131,7 +146,6 @@ def _run_levels(cfg: DeviceConfig, args, out: Path) -> list[Path]:
 
 
 def _run_sweep(cfg: DeviceConfig, args, out: Path) -> list[Path]:
-    import numpy as np
     from .landauer import model_from_config
 
     model_par = model_from_config(cfg, SpinOrientation.PARALLEL)
@@ -140,44 +154,47 @@ def _run_sweep(cfg: DeviceConfig, args, out: Path) -> list[Path]:
     if args.grid:
         grid = _parse_grid(args.grid)
     else:
-        grid = np.linspace(res.energy - 10 * res.Gamma,
-                           res.energy + 10 * res.Gamma, 201)
-    n = len(cfg.modes)
+        grid = _linspace(res.energy - 10 * res.Gamma,
+                         res.energy + 10 * res.Gamma, 201)
+    modes = [(m.bottom_energy, m.coupled) for m in cfg.modes]
     header = ["E_meV"]
-    for i in range(n):
+    for i in range(len(modes)):
         header += [f"T_parallel_mode{i}", f"T_antiparallel_mode{i}",
                    f"R_parallel_mode{i}", f"R_antiparallel_mode{i}"]
     header += ["T_parallel", "T_antiparallel", "R_parallel", "R_antiparallel"]
-    columns = [grid]
-    totals = [0.0] * 4
-    for i, m in enumerate(cfg.modes):
-        tp = mode_transmission(grid, model_par, i)
-        ta = mode_transmission(grid, model_anti, i)
-        # R = w (1 - T_fano) on the open coupled mode, so it halves exactly
-        is_open = (grid >= m.bottom_energy) & m.coupled
-        mode_columns = [tp, ta,
-                        is_open * spin_channel_reflection(grid, model_par),
-                        is_open * spin_channel_reflection(grid, model_anti)]
-        columns += mode_columns
-        totals = [s + c for s, c in zip(totals, mode_columns)]
-    rows = np.column_stack(columns + totals).tolist()
+
+    def row(E: float) -> list[float]:
+        r_par = spin_channel_reflection(E, model_par)
+        r_anti = spin_channel_reflection(E, model_anti)
+        cells, totals = [E], [0.0] * 4
+        for bottom, coupled in modes:
+            # mode_transmission's T; R = w (1 - T_fano) on the open coupled
+            # mode, so it halves exactly
+            is_open = E >= bottom
+            mode_cells = (is_open * (1.0 - r_par if coupled else 1.0),
+                          is_open * (1.0 - r_anti if coupled else 1.0),
+                          (is_open & coupled) * r_par,
+                          (is_open & coupled) * r_anti)
+            cells += mode_cells
+            totals = [s + c for s, c in zip(totals, mode_cells)]
+        return cells + totals
+
     path = out / "sweep.csv"
-    _write_csv(path, header, rows)
+    _write_csv(path, header, map(row, grid))
     return [path]
 
 
 def _run_iv(cfg: DeviceConfig, args, out: Path) -> list[Path]:
-    import numpy as np
     from .landauer import iv_curves
 
     if args.grid:
         grid = _parse_grid(args.grid)
     else:
-        grid = np.linspace(-2 * cfg.Gamma, 2 * cfg.Gamma, 81)
+        grid = _linspace(-2 * cfg.Gamma, 2 * cfg.Gamma, 81)
     if grid[0] == -grid[-1]:
         # mirror-exact: V[k] == -V[n-1-k], so I(-V) = -I(V) bit for bit
-        grid = (grid - grid[::-1]) / 2
-    if not (grid[1:] > grid[:-1]).all():
+        grid = [(a - b) / 2 for a, b in zip(grid, reversed(grid))]
+    if not all(b > a for a, b in zip(grid, grid[1:])):
         raise ConfigError([f"--grid: the bias grid must be strictly "
                            f"increasing, got '{args.grid}'"])
     curve_par, curve_anti = iv_curves(cfg, grid)

@@ -21,14 +21,16 @@ the conductance at any mu's as further rows of its one call.
 
 A sharp window, where every mu +- 40 kT rounds to mu (T = 0 K included),
 is an exact special case evaluated in closed form, not a small-T limit.
+
+Only the graded rule computes with arrays, so numpy is imported there, on
+its first call: a T = 0 curve or report runs on floats alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from functools import cache
 
 from .constants import CURRENT_PER_MEV, FERMI_TAIL_KT, G0, thermal_energy
 from .config import DeviceConfig, Spin
@@ -36,30 +38,37 @@ from .dot_spectrum import target_level
 from .fano import (SpinOrientation, TransmissionModel, dip_integral,
                    total_transmission)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-#: Node offsets and weights on a panel of unit width, as columns.
-_GL_STEPS, _GL_WEIGHTS = (_GL_NODES[:, None] + 1) / 2, _GL_WEIGHTS[:, None] / 2
 #: Rows of ``_graded_rule`` evaluated at once, so a long call holds the node
 #: arrays (tens of kB a row) of one block, not of every row; the 121 rows of
 #: the default 81-bias ``iv`` stay one block.
 _BLOCK_ROWS = 128
 
 
-@dataclass(frozen=True)
+@cache
+def _gauss_legendre():
+    """16-point Gauss-Legendre node offsets and weights on a panel of unit
+    width, as columns."""
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    return (nodes[:, None] + 1) / 2, weights[:, None] / 2
+
+
+@dataclass(frozen=True, slots=True)
 class BiasPoint:
     mu_source: float     # meV
     mu_drain: float      # meV
     temperature: float   # K
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IVPoint:
     V_sd: float   # mV
     I: float      # A
     G_diff: float # S
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IVCurve:
     points: tuple[IVPoint, ...]
 
@@ -95,6 +104,8 @@ def _graded_rule(model: TransmissionModel, kT: float, windows, points):
     half-width d and 1 / (2 + 2 cosh(c)) at a point (c the offset from the
     centre, in units of kT), is scaled by e^-d, so nothing cancels.
     """
+    import numpy as np
+
     rows = ([(lo, hi, -math.expm1((lo - hi) / kT)) for lo, hi in windows]
             + [(mu, mu, 1.0) for mu in points])     # numerator 1 - e^-2d
     return np.concatenate([_graded_block(model, kT, rows[i:i + _BLOCK_ROWS])
@@ -103,6 +114,9 @@ def _graded_rule(model: TransmissionModel, kT: float, windows, points):
 
 def _graded_block(model: TransmissionModel, kT: float, rows):
     """``_graded_rule`` on rows of (mu_lo, mu_hi, Fermi numerator)."""
+    import numpy as np
+
+    steps16, weights16 = _gauss_legendre()
     res, tail, pkT = model.resonance, FERMI_TAIL_KT * kT, math.pi * kT
     bottom = model.modes[model.coupled_index].bottom_energy
     # per row: its ends, E_res, its mu's; Fermi centre, d, 1 + e^-2d, numerator
@@ -128,12 +142,12 @@ def _graded_block(model: TransmissionModel, kT: float, rows):
         row, col = np.nonzero(width)
         width = width[row, col]
         centre, d, scale = table[5:8].take(row, 1)
-        E = edges[row, col] + width * _GL_STEPS          # (16, panels)
+        E = edges[row, col] + width * steps16          # (16, panels)
         a, eps = np.abs(E - centre), E - res.energy
         den = (eps * eps + res.Gamma * res.Gamma) * (
             np.exp((a - d) / kT) + np.exp((a + d) / -kT) + scale)
     sums = np.bincount(row[None].repeat(16, 0).ravel(),
-                       (_GL_WEIGHTS * width / den).ravel(), len(rows))
+                       (weights16 * width / den).ravel(), len(rows))
     return sums * (res.Gamma * res.Gamma * (1.0 - abs(res.q) ** 2)) * table[8]
 
 
@@ -253,20 +267,21 @@ def model_from_config(config: DeviceConfig,
 
 
 def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
-    """The ``iv_curve`` of each model: at T > 0 from one ``_graded_rule``
-    call, a deficit per nonzero bias and G at each distinct mu."""
+    """The ``iv_curve`` of each model: at T = 0 from the closed forms on
+    floats, at T > 0 from one ``_graded_rule`` call, a deficit per nonzero
+    bias and G at each distinct mu."""
     V_grid = list(V_grid)
     if not V_grid or any(b <= a for a, b in zip(V_grid, V_grid[1:])):
         raise ValueError("bias grid must be nonempty and strictly increasing")
     mu0, T = config.mu_source, config.temperature
     biases = [BiasPoint(mu0 + V / 2, mu0 - V / 2, T) for V in V_grid]
     kT = thermal_energy(T)
-    if kT == 0:     # closed forms: ``current`` per bias, G0 T(mu) at once
+    if kT == 0:     # closed forms: ``current`` per bias, G0 T(mu) per mu
         currents = [[current(b, m) if V else 0.0
                      for V, b in zip(V_grid, biases)] for m in models]
-        mu = np.array([(b.mu_source, b.mu_drain) for b in biases])
-        G = [G0 * total_transmission(mu, m) for m in models]
-        G_diff = [((g[:, 0] + g[:, 1]) / 2).tolist() for g in G]
+        G_diff = [[(G0 * total_transmission(b.mu_source, m)
+                    + G0 * total_transmission(b.mu_drain, m)) / 2
+                   for b in biases] for m in models]
     else:
         mus = sorted({mu for b in biases for mu in (b.mu_source, b.mu_drain)})
         moving = [b for V, b in zip(V_grid, biases) if V]

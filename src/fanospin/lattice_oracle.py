@@ -22,6 +22,7 @@ quartic, so the oracle needs no optimiser and no bracketing search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,15 @@ def dip_minimum(lattice: OracleLattice) -> float:
     return eps_d
 
 
+def _horner(coefficients, x: float) -> float:
+    """The polynomial with ``coefficients`` (highest power first) at x, in
+    ``numpy.polyval``'s order of operations, on floats."""
+    y = 0.0
+    for c in coefficients:
+        y = y * x + c
+    return y
+
+
 def effective_broadening(lattice: OracleLattice) -> float:
     """Half-width at half depth of the oracle dip, mean of both sides.
 
@@ -97,17 +107,18 @@ def effective_broadening(lattice: OracleLattice) -> float:
     numpy.roots resolves them at any coupling.  Newton steps on the quartic
     polish each; the half-width is tp^2 / (t |w|).  A side without a real
     root (flank never back up to 1/2) raises ExtractionError, and so does a
-    tp/t whose quartic overflows or a width whose square underflows.
+    tp/t whose quartic overflows or a width whose square underflows.  The
+    Newton steps run on floats (``_horner``), bit for bit ``numpy.polyval``.
     """
     eps_d = dip_minimum(lattice)
     t, tp = lattice.hopping_t, lattice.coupling_tp
     eta, p2 = eps_d / t, (tp / t) * (tp / t)
     quartic = [1.0, 0.0, eta * eta - 4.0, 2.0 * eta * p2, p2 * p2]
-    if not np.isfinite(quartic).all():
+    if not all(map(math.isfinite, quartic)):
         raise ExtractionError(
             f"tp/t = {tp / t:g} overflows the half-width quartic")
-    slope = np.polyder(quartic)
-    real = [r.real for r in np.roots(quartic) if r.imag == 0]
+    slope = [4.0, 0.0, 2.0 * quartic[2], quartic[3]]    # numpy.polyder's
+    real = [float(r.real) for r in np.roots(quartic) if r.imag == 0]
     widths = []
     for side in (-1.0, 1.0):
         w = max((r for r in real if side * r > 0), key=abs, default=None)
@@ -116,8 +127,8 @@ def effective_broadening(lattice: OracleLattice) -> float:
                 f"dip flank on the {'low' if side < 0 else 'high'}-energy "
                 f"side does not recover to T = 1/2 inside the band")
         for _ in range(3):
-            w -= np.polyval(quartic, w) / np.polyval(slope, w)
-        widths.append(tp * (tp / t) / abs(float(w)))
+            w -= _horner(quartic, w) / _horner(slope, w)
+        widths.append(tp * (tp / t) / abs(w))
     gamma = 0.5 * (widths[0] + widths[1])
     if gamma < GAMMA_MIN:
         raise ExtractionError(

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import struct
 import subprocess
 import sys
 import tempfile
@@ -10,11 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fanospin
 from fanospin import landauer
-from fanospin.cli import MAX_POINTS, SUBCOMMANDS, main
+from fanospin.cli import MAX_POINTS, SUBCOMMANDS, _linspace, main
 from fanospin.config import (GAMMA_MIN, LIMIT, apply_overrides,
                              default_config, dumps, validate)
 from fanospin.constants import CONSTANTS
@@ -503,6 +504,32 @@ def test_every_grid_through_cli(start, stop, count):
                     assert all(0.0 <= t <= 1.0 for t in col), key
 
 
+def _bits(xs):
+    """Each float's bytes, so signed zeros count."""
+    return [struct.pack("d", x) for x in xs]
+
+
+linspace_ends = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                     LIMIT, -LIMIT]),
+    st.floats(-1e-305, 1e-305),     # subnormals and their neighbours
+    st.floats(-LIMIT, LIMIT))
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=linspace_ends, stop=linspace_ends,
+       count=st.sampled_from([1, 2, 3, 81, 401]), same=st.booleans())
+@example(start=-0.0, stop=5.0, count=1, same=False)  # numpy gives 0.0
+@example(start=-0.0, stop=-0.0, count=1, same=True)
+@example(start=LIMIT, stop=-LIMIT, count=401, same=False)
+@example(start=5e-324, stop=1e-323, count=81, same=False)   # zero step
+def test_linspace_is_numpy_linspace_bit_for_bit(start, stop, count, same):
+    if same:
+        stop = start
+    assert _bits(_linspace(start, stop, count)) == _bits(
+        np.linspace(start, stop, count).tolist())
+
+
 @pytest.mark.parametrize("grid", [
     "1:1:3", "6.7e152:6.7e152:3", "2:1:3",
     "-1e-323:1e-323:4"])        # mirroring puts -0.0 next to 0.0
@@ -580,16 +607,18 @@ def test_unusable_out_exits_73(tmp_path, capsys, command):
 
 def test_levels_modules_import_no_numpy():
     # `fanospin levels` and every config check need only these modules, and
-    # the package and the CLI import nothing else at module level
+    # the package and the CLI import nothing else at module level; landauer
+    # and readout import no numpy at module level either
     needed = {"constants", "config", "fano", "dot_spectrum"}
     src = Path(fanospin.__file__).parent
-    for name in sorted(needed | {"__init__", "cli"}):
+    for name in sorted(needed | {"__init__", "cli", "landauer", "readout"}):
+        allowed = needed | ({"landauer"} if name == "readout" else set())
         tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree) if name in needed else tree.body:
             if isinstance(node, ast.ImportFrom) and node.level:
                 targets = ([node.module] if node.module
                            else [a.name for a in node.names])
-                assert all(t in needed or not (src / f"{t}.py").exists()
+                assert all(t in allowed or not (src / f"{t}.py").exists()
                            for t in targets), (name, targets)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 modules = ([a.name for a in node.names]
@@ -614,9 +643,14 @@ NUMPY_PROBE = ("import runpy, sys\n"
     (["frobnicate"], 64, False, "unknown subcommand 'frobnicate'"),
     (["levels", "--config", "MISSING"], 66, False, "cannot read config"),
     (["iv", "--set", "Gamma=0"], 1, False, "invalid configuration: Gamma"),
-    (["sweep"], 0, True, None),
+    (["sweep"], 0, False, None),
+    (["iv", "--set", "temperature=0"], 0, False, None),
+    (["readout", "--set", "temperature=0"], 0, False, None),
     (["iv"], 0, True, None),
-], ids=["levels", "help", "usage", "unreadable", "rejected", "sweep", "iv"])
+    (["readout"], 0, True, None),
+    (["oracle"], 0, True, None),
+], ids=["levels", "help", "usage", "unreadable", "rejected", "sweep", "iv-T0",
+        "readout-T0", "iv", "readout", "oracle"])
 def test_numpy_loads_only_where_a_subcommand_computes(tmp_path, args, code,
                                                       numpy_loaded, needle):
     out = tmp_path / "out"
@@ -640,4 +674,5 @@ def test_numpy_loads_only_where_a_subcommand_computes(tmp_path, args, code,
         if numpy_loaded:
             expected["numpy"] = np.__version__
         assert manifest["versions"] == expected
-        assert manifest["outputs"] == [str(out / f"{args[0]}.csv")]
+        data = "readout.json" if args[0] == "readout" else f"{args[0]}.csv"
+        assert manifest["outputs"] == [str(out / data)]

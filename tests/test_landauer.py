@@ -181,6 +181,13 @@ def test_iv_curve_single_zero_point():
     assert pt.G_diff == pytest.approx(expected, rel=1e-12)
 
 
+def test_curve_records_have_no_instance_dict():
+    # a million-point curve holds these records; slots keep them small
+    for record in (BiasPoint(1.0, 0.0, 0.0), landauer.IVPoint(1.0, 0.0, 0.0),
+                   landauer.IVCurve(points=())):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
 @pytest.mark.parametrize("T", [0.0, 4.0, 40.0])
 def test_iv_curve_single_point_is_exact_derivative(T):
     cfg = validate(DeviceConfig(

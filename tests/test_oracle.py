@@ -13,6 +13,7 @@ from fanospin.lattice_oracle import (BandEdgeError, ExtractionError,
                                      OracleLattice, compare_to_fano,
                                      dip_minimum, effective_broadening,
                                      oracle_transmission)
+from fanospin.lattice_oracle import _horner
 from reference import oracle_reflection, scattering_amplitudes
 
 
@@ -68,6 +69,19 @@ def test_symmetry_at_band_center(E, tp):
     lat = OracleLattice(hopping_t=1.0, site_energy_eps_d=0.0, coupling_tp=tp)
     assert oracle_transmission(E, lat) == pytest.approx(
         oracle_transmission(-E, lat), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficients=st.lists(st.floats(allow_nan=False), min_size=1,
+                             max_size=6),
+       x=st.floats(allow_nan=False))
+@example(coefficients=[1.0, 0.0, -4.0, 0.0, 0.25], x=-0.0)
+def test_horner_is_numpy_polyval(coefficients, x):
+    # the Newton steps of effective_broadening, bit for bit (repr tells the
+    # signed zeros apart, and reads every NaN alike)
+    with np.errstate(all="ignore"):
+        expected = float(np.polyval(coefficients, x))
+    assert repr(_horner(coefficients, x)) == repr(expected)
 
 
 def test_effective_broadening_weak_coupling_value():
