@@ -1,33 +1,34 @@
 """Command-line entry point.
 
 Subcommands: levels, sweep, iv, readout, oracle.  Each run writes
-deterministic CSV/JSON data files plus a manifest.json carrying the run
-metadata (the timestamp lives only in the manifest, so repeated runs on the
-same config produce byte-identical data files).  The output directory is
-created with the first file, so a rejected input leaves none behind.
+deterministic CSV/JSON data files, each line as it is formatted, then a
+manifest.json with the run metadata, so the manifest marks a complete run.
+The timestamp lives only in the manifest: repeated runs on the same config
+produce byte-identical data files.  A data file opens once every row that
+can fail is computed, so a rejected input leaves no output directory.
 
 Exit codes (sysexits where one fits):
 
 - 0 success;
 - 1 invalid input, each violation named by its config key or option: the
-  config, ``--grid`` (START and STOP finite within +-``config.LIMIT``,
-  COUNT an integer in [1, ``MAX_POINTS``], for ``iv`` a strictly
-  increasing grid) and the oracle options (``--hopping-t``, ``--window``
-  finite and > 0, ``--coupling-tp`` finite and >= 0, ``--eps-d`` finite,
-  ``--points`` in [1, ``MAX_POINTS``]);
+  config, ``--grid`` (START and STOP within +-``config.LIMIT``, COUNT an
+  integer in [1, ``MAX_POINTS``], for ``iv`` a strictly increasing grid)
+  and the oracle options (``--hopping-t`` in (0, LIMIT], ``--coupling-tp``
+  in [0, LIMIT], ``--eps-d`` in [-LIMIT, LIMIT], ``--window`` finite and
+  > 0, ``--points`` in [1, ``MAX_POINTS``]);
 - 2 numerical failure;
 - 64 usage error;
 - 66 unreadable config;
 - 73 the output cannot be created (``--out`` names a file, or a path
   under one, or is not writable).
 
-The transport modules (``landauer``, ``lattice_oracle``, ``readout``) are
-imported inside the runners that use them, and numpy only where arrays are
-computed: the finite-temperature graded rule and the lattice oracle.  So
-``levels``, ``sweep``, a T = 0 ``iv`` or ``readout``, ``--help``, usage
-errors and every rejected or unreadable config run without numpy; grids
-are lists from ``_linspace``.  The manifest's ``versions`` records numpy's
-version only when the run loaded it.
+The CLI imports no numpy.  The runners import the transport modules
+(``landauer``, ``lattice_oracle``, ``readout``) they use, and numpy is
+imported only where arrays are computed: the finite-temperature graded rule
+and the lattice oracle.  So ``levels``, ``sweep``, a T = 0 ``iv`` or
+``readout``, ``--help``, usage errors and every rejected or unreadable
+config run without numpy; grids are lists from ``_linspace``.  The
+manifest's ``versions`` records numpy's version only when the run loaded it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import math
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -58,38 +60,28 @@ EXIT_CANTCREAT = 73
 #: The most points a ``--grid`` COUNT or the oracle's ``--points`` may ask
 #: for, checked before any grid is built: the largest round count at which
 #: every subcommand stays within 1 GiB.  At this count a finite-T ``iv``
-#: (0.1 K, default device) peaked at 971 MiB, a T = 0 ``iv`` at 777 MiB, a
-#: three-mode ``sweep`` at 546 MiB and ``oracle`` at 571 MiB.
+#: (0.1 K, default device) peaked at 875 MiB, a T = 0 ``iv`` at 519 MiB, a
+#: three-mode ``sweep`` at 58 MiB and ``oracle`` at 171 MiB.
 MAX_POINTS = 1_000_000
 
 
-def _fmt(x) -> str:
-    """Full round-trip decimal representation, locale-independent."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
-
-
-def _write_text(path: Path, text: str):
-    """Write one output file, creating its directory first."""
+def _write_lines(path: Path, lines):
+    """Write one output file, each line as ``lines`` yields it, creating its
+    directory first."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _write_csv(path: Path, header: list[str], rows, comment: str | None = None):
-    lines = []
-    if comment is not None:
-        lines.append("# " + comment)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    """Cells by ``str``: a float's round-trip repr, locale-independent."""
+    head = [",".join(header)] if comment is None else ["# " + comment,
+                                                       ",".join(header)]
+    _write_lines(path, chain(head, (",".join(map(str, row)) for row in rows)))
 
 
 def _write_json(path: Path, obj):
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_lines(path, [json.dumps(obj, sort_keys=True, indent=2)])
 
 
 def _linspace(start: float, stop: float, count: int) -> list[float]:
@@ -140,7 +132,7 @@ def _run_levels(cfg: DeviceConfig, args, out: Path) -> list[Path]:
                ["energy_meV", "character", "sz_total", "l1z", "degeneracy",
                 "parallel_accessible"],
                [(lv.energy, lv.character.value, lv.sz_total, lv.l1z,
-                 lv.degeneracy, lv.parallel_accessible)
+                 lv.degeneracy, "true" if lv.parallel_accessible else "false")
                 for lv in eigenlevels(cfg)])
     return [path]
 
@@ -180,6 +172,8 @@ def _run_sweep(cfg: DeviceConfig, args, out: Path) -> list[Path]:
         return cells + totals
 
     path = out / "sweep.csv"
+    # a row is float arithmetic on a validated config and a LIMIT-bounded
+    # grid, finite throughout, so it cannot fail once the file is open
     _write_csv(path, header, map(row, grid))
     return [path]
 
@@ -202,8 +196,8 @@ def _run_iv(cfg: DeviceConfig, args, out: Path) -> list[Path]:
     _write_csv(path,
                ["V_mV", "I_A_parallel", "I_A_antiparallel",
                 "G_S_parallel", "G_S_antiparallel"],
-               [(p.V_sd, p.I, a.I, p.G_diff, a.G_diff)
-                for p, a in zip(curve_par.points, curve_anti.points)])
+               ((p.V_sd, p.I, a.I, p.G_diff, a.G_diff)
+                for p, a in zip(curve_par.points, curve_anti.points)))
     return [path]
 
 
@@ -242,16 +236,16 @@ def _run_readout(cfg: DeviceConfig, args, out: Path) -> list[Path]:
 
 
 def _run_oracle(cfg: DeviceConfig, args, out: Path) -> list[Path]:
-    import numpy as np
     from .lattice_oracle import OracleLattice, compare_to_fano
 
     errs = [f"{flag}: must be {rule}, got {value}"
             for flag, value, ok, rule in (
-                ("--hopping-t", args.hopping_t,
-                 0 < args.hopping_t < math.inf, "finite and > 0"),
+                ("--hopping-t", args.hopping_t, 0 < args.hopping_t <= LIMIT,
+                 f"in (0, {LIMIT:g}]"),
                 ("--coupling-tp", args.coupling_tp,
-                 0 <= args.coupling_tp < math.inf, "finite and >= 0"),
-                ("--eps-d", args.eps_d, math.isfinite(args.eps_d), "finite"),
+                 0 <= args.coupling_tp <= LIMIT, f"in [0, {LIMIT:g}]"),
+                ("--eps-d", args.eps_d, -LIMIT <= args.eps_d <= LIMIT,
+                 f"in [{-LIMIT:g}, {LIMIT:g}]"),
                 ("--window", args.window,
                  0 < args.window < math.inf, "finite and > 0"),
                 ("--points", args.points, 1 <= args.points <= MAX_POINTS,
@@ -267,8 +261,8 @@ def _run_oracle(cfg: DeviceConfig, args, out: Path) -> list[Path]:
     path = out / "oracle.csv"
     _write_csv(path,
                ["E_meV", "T_oracle", "T_fano", "abs_deviation"],
-               np.column_stack((grid, t_oracle, t_fano,
-                                np.abs(t_oracle - t_fano))).tolist(),
+               ((E, o, f, abs(o - f)) for E, o, f in zip(
+                   grid.tolist(), t_oracle.tolist(), t_fano.tolist())),
                comment=f"Gamma_eff_meV={gamma!r} max_abs_deviation={dev!r}")
     return [path]
 

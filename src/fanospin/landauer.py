@@ -269,31 +269,29 @@ def model_from_config(config: DeviceConfig,
 def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
     """The ``iv_curve`` of each model: at T = 0 from the closed forms on
     floats, at T > 0 from one ``_graded_rule`` call, a deficit per nonzero
-    bias and G at each distinct mu."""
+    bias; G once at each distinct mu."""
     V_grid = list(V_grid)
     if not V_grid or any(b <= a for a, b in zip(V_grid, V_grid[1:])):
         raise ValueError("bias grid must be nonempty and strictly increasing")
     mu0, T = config.mu_source, config.temperature
     biases = [BiasPoint(mu0 + V / 2, mu0 - V / 2, T) for V in V_grid]
     kT = thermal_energy(T)
+    mus = sorted({mu for b in biases for mu in (b.mu_source, b.mu_drain)})
     if kT == 0:     # closed forms: ``current`` per bias, G0 T(mu) per mu
         currents = [[current(b, m) if V else 0.0
                      for V, b in zip(V_grid, biases)] for m in models]
-        G_diff = [[(G0 * total_transmission(b.mu_source, m)
-                    + G0 * total_transmission(b.mu_drain, m)) / 2
-                   for b in biases] for m in models]
+        dips = [None] * len(mus)
     else:
-        mus = sorted({mu for b in biases for mu in (b.mu_source, b.mu_drain)})
         moving = [b for V, b in zip(V_grid, biases) if V]
         pairs, dips = _integrals(models[0], kT, moving, mus)
         pairs = iter(pairs)
         parts = [next(pairs) if V else (0.0, 0.0) for V in V_grid]
         currents = [[ballistic - m.weight * (CURRENT_PER_MEV * deficit)
                      for ballistic, deficit in parts] for m in models]
-        G = [dict(zip(mus, (_conductance(m, kT, mu, dip)
-                            for mu, dip in zip(mus, dips)))) for m in models]
-        G_diff = [[(g[b.mu_source] + g[b.mu_drain]) / 2 for b in biases]
-                  for g in G]
+    G = (dict(zip(mus, (_conductance(m, kT, mu, dip)
+                        for mu, dip in zip(mus, dips)))) for m in models)
+    G_diff = [[(g[b.mu_source] + g[b.mu_drain]) / 2 for b in biases]
+              for g in G]     # one model's G held at a time
     return tuple(IVCurve(points=tuple(
         IVPoint(V_sd=float(V), I=float(i), G_diff=float(g))
         for V, i, g in zip(V_grid, I, dIdV)))

@@ -583,11 +583,40 @@ def test_negative_bias_zero_deficit_reads_positive_zero(tmp_path, overrides):
     (["--hopping-t", "0"], "--hopping-t"),
     (["--hopping-t", "inf"], "--hopping-t"),
     (["--coupling-tp", "-1"], "--coupling-tp"),
-    (["--coupling-tp", "nan"], "--coupling-tp")])
+    (["--coupling-tp", "nan"], "--coupling-tp"),
+    # finite, but beyond the bound B of the config's energies
+    (["--hopping-t", "1e300"], "--hopping-t"),
+    (["--coupling-tp", "1e300"], "--coupling-tp"),
+    (["--eps-d=-1e300"], "--eps-d")])
 def test_bad_oracle_option_exits_1_naming_it(tmp_path, capsys, args, flag):
     out = tmp_path / "out"
     assert main(["oracle", *args, "--out", str(out)]) == 1
     assert f"invalid parameters: {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    [], ["--window", "1e308"], ["--eps-d=1e152"]])
+def test_oracle_options_at_the_bound_run_warning_free(tmp_path, args):
+    # Gamma_eff ~ 3.5e152 meV: every detuning the lineshape squares is finite
+    out = tmp_path / "out"
+    proc = run_cli_strict(["oracle", "--hopping-t", repr(LIMIT),
+                           "--coupling-tp", repr(LIMIT), *args,
+                           "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    text = (out / "oracle.csv").read_text()
+    assert "nan" not in text and len(text.splitlines()) == 1003
+
+
+def test_iv_failure_leaves_no_output(tmp_path, capsys, monkeypatch):
+    # iv computes every row before it opens iv.csv
+    def fail(*args):
+        raise ArithmeticError("no curve")
+
+    monkeypatch.setattr(landauer, "iv_curves", fail)
+    out = tmp_path / "out"
+    assert main(["iv", "--out", str(out)]) == 2
+    assert "numerical failure: no curve" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -608,14 +637,17 @@ def test_unusable_out_exits_73(tmp_path, capsys, command):
 def test_levels_modules_import_no_numpy():
     # `fanospin levels` and every config check need only these modules, and
     # the package and the CLI import nothing else at module level; landauer
-    # and readout import no numpy at module level either
+    # and readout import no numpy at module level, and the CLI none at all
     needed = {"constants", "config", "fano", "dot_spectrum"}
     src = Path(fanospin.__file__).parent
     for name in sorted(needed | {"__init__", "cli", "landauer", "readout"}):
         allowed = needed | ({"landauer"} if name == "readout" else set())
         tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
-        for node in ast.walk(tree) if name in needed else tree.body:
+        for node in (ast.walk(tree) if name in needed | {"cli"}
+                     else tree.body):
             if isinstance(node, ast.ImportFrom) and node.level:
+                if name == "cli" and node not in tree.body:
+                    continue    # a runner imports the modules it uses
                 targets = ([node.module] if node.module
                            else [a.name for a in node.names])
                 assert all(t in allowed or not (src / f"{t}.py").exists()
@@ -627,32 +659,39 @@ def test_levels_modules_import_no_numpy():
                     name, modules)
 
 
-#: Runs ``python -m fanospin ARGS...`` and prints, as the last line of
-#: stdout, whether numpy was loaded when the run ended.
+TRANSPORT = ("landauer", "readout", "lattice_oracle")
+
+#: Runs ``python -m fanospin ARGS...`` and prints, as the last two lines of
+#: stdout, whether numpy was loaded when the run ended and which of the
+#: ``TRANSPORT`` modules were.
 NUMPY_PROBE = ("import runpy, sys\n"
                "try:\n"
                "    runpy.run_module('fanospin', run_name='__main__', "
                "alter_sys=True)\n"
                "finally:\n"
-               "    print('numpy loaded:', 'numpy' in sys.modules)\n")
+               "    print('numpy loaded:', 'numpy' in sys.modules)\n"
+               f"    print('transport loaded:', [m for m in {TRANSPORT!r} "
+               "if 'fanospin.' + m in sys.modules])\n")
 
 
-@pytest.mark.parametrize("args, code, numpy_loaded, needle", [
-    (["levels"], 0, False, None),
-    (["--help"], 0, False, "usage: fanospin"),
-    (["frobnicate"], 64, False, "unknown subcommand 'frobnicate'"),
-    (["levels", "--config", "MISSING"], 66, False, "cannot read config"),
-    (["iv", "--set", "Gamma=0"], 1, False, "invalid configuration: Gamma"),
-    (["sweep"], 0, False, None),
-    (["iv", "--set", "temperature=0"], 0, False, None),
-    (["readout", "--set", "temperature=0"], 0, False, None),
-    (["iv"], 0, True, None),
-    (["readout"], 0, True, None),
-    (["oracle"], 0, True, None),
+@pytest.mark.parametrize("args, code, numpy_loaded, transport, needle", [
+    (["levels"], 0, False, [], None),
+    (["--help"], 0, False, [], "usage: fanospin"),
+    (["frobnicate"], 64, False, [], "unknown subcommand 'frobnicate'"),
+    (["levels", "--config", "MISSING"], 66, False, [], "cannot read config"),
+    (["iv", "--set", "Gamma=0"], 1, False, [], "invalid configuration: Gamma"),
+    (["sweep"], 0, False, ["landauer"], None),
+    (["iv", "--set", "temperature=0"], 0, False, ["landauer"], None),
+    (["readout", "--set", "temperature=0"], 0, False,
+     ["landauer", "readout"], None),
+    (["iv"], 0, True, ["landauer"], None),
+    (["readout"], 0, True, ["landauer", "readout"], None),
+    (["oracle"], 0, True, ["lattice_oracle"], None),
 ], ids=["levels", "help", "usage", "unreadable", "rejected", "sweep", "iv-T0",
         "readout-T0", "iv", "readout", "oracle"])
 def test_numpy_loads_only_where_a_subcommand_computes(tmp_path, args, code,
-                                                      numpy_loaded, needle):
+                                                      numpy_loaded, transport,
+                                                      needle):
     out = tmp_path / "out"
     args = [str(tmp_path / "missing.json") if a == "MISSING" else a
             for a in args]
@@ -661,8 +700,9 @@ def test_numpy_loads_only_where_a_subcommand_computes(tmp_path, args, code,
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *args],
                           capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
-    *stdout, probe = proc.stdout.splitlines()
-    assert probe == f"numpy loaded: {numpy_loaded}"
+    *stdout, numpy_probe, transport_probe = proc.stdout.splitlines()
+    assert numpy_probe == f"numpy loaded: {numpy_loaded}"
+    assert transport_probe == f"transport loaded: {transport}"
     if needle is not None:
         assert needle in "\n".join(stdout) + proc.stderr
     if code:
