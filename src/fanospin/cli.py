@@ -24,11 +24,15 @@ Exit codes (sysexits where one fits):
 
 The CLI imports no numpy.  The runners import the transport modules
 (``landauer``, ``lattice_oracle``, ``readout``) they use, and numpy is
-imported only where arrays are computed: the finite-temperature graded rule
-and the lattice oracle.  So ``levels``, ``sweep``, a T = 0 ``iv`` or
-``readout``, ``--help``, usage errors and every rejected or unreadable
-config run without numpy; grids are lists from ``_linspace``.  The
-manifest's ``versions`` records numpy's version only when the run loaded it.
+imported only where arrays are computed: the graded rule, which takes the
+finite-temperature rows whose coupled subband bottom lies within 40 kT, and
+the lattice oracle.  So ``levels``, ``sweep``, an ``iv`` or ``readout`` at
+T = 0 or clear of the bottom (the default 0.1 K included), ``--help``, usage
+errors and every rejected or unreadable config run without numpy; grids are
+lists from ``_linspace``.  The manifest's ``versions`` records numpy's
+version only when the run loaded it, and for ``iv`` and ``readout`` its
+``paths`` counts the transport rows per path: ``sharp`` (T = 0 closed
+form), ``digamma`` (finite-T closed form) and ``graded``.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ EXIT_CANTCREAT = 73
 #: The most points a ``--grid`` COUNT or the oracle's ``--points`` may ask
 #: for, checked before any grid is built: the largest round count at which
 #: every subcommand stays within 1 GiB.  At this count a finite-T ``iv``
-#: (0.1 K, default device) peaked at 875 MiB, a T = 0 ``iv`` at 519 MiB, a
-#: three-mode ``sweep`` at 58 MiB and ``oracle`` at 171 MiB.
+#: (0.1 K, default device, closed rows) peaked at 746 MiB, a T = 0 ``iv`` at
+#: 519 MiB, a three-mode ``sweep`` at 58 MiB and ``oracle`` at 171 MiB.
 MAX_POINTS = 1_000_000
 
 
@@ -126,7 +130,7 @@ def _load_config(args) -> DeviceConfig:
     return validate(cfg)
 
 
-def _run_levels(cfg: DeviceConfig, args, out: Path) -> list[Path]:
+def _run_levels(cfg: DeviceConfig, args, out: Path) -> dict:
     path = out / "levels.csv"
     _write_csv(path,
                ["energy_meV", "character", "sz_total", "l1z", "degeneracy",
@@ -134,10 +138,10 @@ def _run_levels(cfg: DeviceConfig, args, out: Path) -> list[Path]:
                [(lv.energy, lv.character.value, lv.sz_total, lv.l1z,
                  lv.degeneracy, "true" if lv.parallel_accessible else "false")
                 for lv in eigenlevels(cfg)])
-    return [path]
+    return {"outputs": [path]}
 
 
-def _run_sweep(cfg: DeviceConfig, args, out: Path) -> list[Path]:
+def _run_sweep(cfg: DeviceConfig, args, out: Path) -> dict:
     from .landauer import model_from_config
 
     model_par = model_from_config(cfg, SpinOrientation.PARALLEL)
@@ -175,10 +179,24 @@ def _run_sweep(cfg: DeviceConfig, args, out: Path) -> list[Path]:
     # a row is float arithmetic on a validated config and a LIMIT-bounded
     # grid, finite throughout, so it cannot fail once the file is open
     _write_csv(path, header, map(row, grid))
-    return [path]
+    return {"outputs": [path]}
 
 
-def _run_iv(cfg: DeviceConfig, args, out: Path) -> list[Path]:
+def _counting_rows(compute, *args):
+    """(compute(*args), its transport rows counted per path): the rows
+    ``landauer`` evaluated in the T = 0 closed form (sharp), in the digamma
+    closed form and by the graded rule."""
+    from .landauer import PATHS, ROW_PATHS
+
+    paths = dict.fromkeys(PATHS, 0)
+    token = ROW_PATHS.set(paths)
+    try:
+        return compute(*args), paths
+    finally:
+        ROW_PATHS.reset(token)
+
+
+def _run_iv(cfg: DeviceConfig, args, out: Path) -> dict:
     from .landauer import iv_curves
 
     if args.grid:
@@ -191,20 +209,20 @@ def _run_iv(cfg: DeviceConfig, args, out: Path) -> list[Path]:
     if not all(b > a for a, b in zip(grid, grid[1:])):
         raise ConfigError([f"--grid: the bias grid must be strictly "
                            f"increasing, got '{args.grid}'"])
-    curve_par, curve_anti = iv_curves(cfg, grid)
+    (curve_par, curve_anti), paths = _counting_rows(iv_curves, cfg, grid)
     path = out / "iv.csv"
     _write_csv(path,
                ["V_mV", "I_A_parallel", "I_A_antiparallel",
                 "G_S_parallel", "G_S_antiparallel"],
                ((p.V_sd, p.I, a.I, p.G_diff, a.G_diff)
                 for p, a in zip(curve_par.points, curve_anti.points)))
-    return [path]
+    return {"outputs": [path], "paths": paths}
 
 
-def _run_readout(cfg: DeviceConfig, args, out: Path) -> list[Path]:
+def _run_readout(cfg: DeviceConfig, args, out: Path) -> dict:
     from .readout import nondemolition_summary, readout_report
 
-    report = readout_report(cfg)
+    report, paths = _counting_rows(readout_report, cfg)
     summary = nondemolition_summary(cfg)
     flip_time_finite = math.isfinite(summary.spin_flip_time)
     obj = {
@@ -232,10 +250,10 @@ def _run_readout(cfg: DeviceConfig, args, out: Path) -> list[Path]:
     }
     path = out / "readout.json"
     _write_json(path, obj)
-    return [path]
+    return {"outputs": [path], "paths": paths}
 
 
-def _run_oracle(cfg: DeviceConfig, args, out: Path) -> list[Path]:
+def _run_oracle(cfg: DeviceConfig, args, out: Path) -> dict:
     from .lattice_oracle import OracleLattice, compare_to_fano
 
     errs = [f"{flag}: must be {rule}, got {value}"
@@ -264,7 +282,7 @@ def _run_oracle(cfg: DeviceConfig, args, out: Path) -> list[Path]:
                ((E, o, f, abs(o - f)) for E, o, f in zip(
                    grid.tolist(), t_oracle.tolist(), t_fano.tolist())),
                comment=f"Gamma_eff_meV={gamma!r} max_abs_deviation={dev!r}")
-    return [path]
+    return {"outputs": [path]}
 
 
 def _versions() -> dict[str, str]:
@@ -346,8 +364,9 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     try:
-        outputs = RUNNERS[args.subcommand](cfg, args, out)
+        fields = RUNNERS[args.subcommand](cfg, args, out)
         _write_json(out / "manifest.json", {
+            **fields,
             "subcommand": args.subcommand,
             "config_digest": hashlib.sha256(
                 dumps(cfg).encode("utf-8")).hexdigest(),
@@ -355,7 +374,7 @@ def main(argv=None) -> int:
             "versions": _versions(),
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "overrides": list(args.set),
-            "outputs": [str(p) for p in outputs],
+            "outputs": [str(p) for p in fields["outputs"]],
         })
     except (BandEdgeError, ExtractionError, ArithmeticError) as exc:
         print(f"fanospin: numerical failure: {exc}", file=sys.stderr)

@@ -8,27 +8,39 @@ to machine precision.  At T = 0 the deficit is the closed form
 ``fano.dip_integral``.
 
 At T > 0 every deficit and every dip share of the linear conductance is a
-row of one graded rule, ``_graded_rule``: composite 16-point Gauss-Legendre
-on the row's [max(bottom, mu_lo - 40 kT), mu_hi + 40 kT], breakpoints graded
-geometrically (ratio 2) toward E_res from the scale Gamma and toward each
-chemical potential from the scale pi kT.  The integrand's poles sit at
-E_res +- i Gamma and mu + i pi kT (2n + 1); no panel is wider than its
-distance to the nearest one, so the rule is exact to rounding.  A row
-depends only on its sorted pair of chemical potentials, so I(-V) = -I(V)
-holds exactly, +V and -V share one row, and an I-V curve is one call whose
-dI/dV is the exact [G(mu_s) + G(mu_d)] / 2.  ``current_components`` takes
-the conductance at any mu's as further rows of its one call.
+row, evaluated on one of three paths.  A row depends only on its sorted
+pair of chemical potentials, so I(-V) = -I(V) holds exactly, +V and -V
+share one row, and an I-V curve's dI/dV is the exact [G(mu_s) + G(mu_d)] /
+2.  Each row is its own computation, so a curve point equals its own
+``current`` and ``linear_conductance`` calls bit for bit.
 
-A sharp window, where every mu +- 40 kT rounds to mu (T = 0 K included),
-is an exact special case evaluated in closed form, not a small-T limit.
+- Sharp: where every mu +- 40 kT rounds to mu (T = 0 K included), the T = 0
+  closed forms are exact, not a small-T limit.
+- Digamma: where the row's lowest mu lies at least 40 kT above the coupled
+  subband bottom, the Fermi-window integral of the Lorentzian dip over the
+  whole line is closed.  Its poles are E_res + i Gamma and the Matsubara
+  poles mu + i pi kT (2n + 1); with z(mu) = 1/2 + (Gamma + i (mu - E_res))
+  / (2 pi kT), a window row is (1 - |q|^2) Gamma Im[psi(z(mu_hi)) -
+  psi(z(mu_lo))] and a point row (1 - |q|^2) (Gamma / 2 pi) Re psi'(z(mu))
+  (Abramowitz and Stegun 6.3.5, 6.3.18, 6.4.12), on floats.
+- Graded: every other row (the bottom within 40 kT) is a row of one
+  ``_graded_rule`` call: composite 16-point Gauss-Legendre on the row's
+  [max(bottom, mu_lo - 40 kT), mu_hi + 40 kT], breakpoints graded
+  geometrically (ratio 2) toward E_res from the scale Gamma and toward each
+  chemical potential from the scale pi kT, so no panel is wider than its
+  distance to the nearest pole and the rule is exact to rounding.
 
 Only the graded rule computes with arrays, so numpy is imported there, on
-its first call: a T = 0 curve or report runs on floats alone.
+its first call: a curve or report whose rows are all sharp or closed runs
+on floats alone.  While ``ROW_PATHS`` holds a dict, each row adds one to
+the count of its path.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -42,6 +54,26 @@ from .fano import (SpinOrientation, TransmissionModel, dip_integral,
 #: arrays (tens of kB a row) of one block, not of every row; the 121 rows of
 #: the default 81-bias ``iv`` stay one block.
 _BLOCK_ROWS = 128
+
+#: The row paths the ``ROW_PATHS`` collector counts.
+PATHS = ("sharp", "digamma", "graded")
+
+#: A dict of row counts per path, which ``_integrals`` adds to while set.
+ROW_PATHS: ContextVar[dict | None] = ContextVar("ROW_PATHS", default=None)
+
+#: psi(w) - ln w + u/2 for |w| >= 10, u = 1/w, as a polynomial in v = u^2,
+#: highest power first: -sum_k B_2k v^k / 2k for k = 1..8 (Abramowitz and
+#: Stegun 6.3.18); the first term left out is below 4e-18 there.
+_PSI_SERIES = (3617 / 8160, -1 / 12, 691 / 32760, -1 / 132, 1 / 240,
+               -1 / 252, 1 / 120, -1 / 12, 0.0)
+
+#: A closed row takes the direct slope while its real part holds at least
+#: this share of its modulus, else the slope split at Re z = 1/2.
+_DIRECT_SHARE = 1 / 16
+
+#: The largest |z| a closed row takes: beyond it Re psi' ~ Re z / |z|^2
+#: could fall toward the subnormal range.
+_Z_MAX = 1e150
 
 
 @cache
@@ -86,6 +118,117 @@ def _sharp(kT: float, *mus: float) -> bool:
     """Every mu +- 40 kT rounds to mu, so the T = 0 closed forms are exact."""
     tail = FERMI_TAIL_KT * kT
     return kT == 0 or all(mu - tail == mu == mu + tail for mu in mus)
+
+
+def _divided(coeffs, *nodes):
+    """The divided difference of a polynomial (``coeffs``, highest power
+    first) on two or three ``nodes``, which may repeat, by repeated
+    synthetic division: p[x0, x1] or p[x0, x1, x2]."""
+    for x in nodes:
+        value, quotient = 0.0, []
+        for c in coeffs:
+            value = value * x + c
+            quotient.append(value)
+        coeffs = quotient[:-1]
+    return value
+
+
+def _shift(x: float, y: float) -> int:
+    """Recurrence steps psi(z) = psi(z + 1) - 1/z that take x + i y, and
+    every point right of it, to |w| >= 10."""
+    if x >= 10 or abs(y) >= 10:
+        return 0
+    return max(0, math.ceil(math.sqrt(100.0 - y * y) - x))
+
+
+def _psi_slope(z: complex, dz: complex) -> complex:
+    """(psi(z) - psi(c)) / dz for c = z - dz and Re z >= 1/2, and psi'(z) at
+    dz = 0: the recurrence psi(z) = psi(z + 1) - 1/z to |w| >= 10, then
+    psi(w) = ln w - u/2 + p(u^2), u = 1/w (Abramowitz and Stegun 6.3.5,
+    6.3.18, 6.4.12), each term divided by dz in closed form: a recurrence
+    step as 1 / ((z + k)(c + k)), the logarithms as 2 atanh(dz / (w + v))
+    / dz and the series by Horner's rule on its divided difference."""
+    c = z - dz
+    n = _shift(z.real, min(abs(z.imag), abs(c.imag)))
+    slope = 0.0
+    for k in range(n):
+        slope += 1 / ((z + k) * (c + k))
+    w, v = z + n, c + n
+    x = dz / (w + v)        # ln(w / v) = 2 atanh(x)
+    if abs(x) > 0.5:
+        slope += cmath.log(w / v) / dz
+    else:
+        slope += (2 * cmath.atanh(x) / x if x else 2) / (w + v)
+    u, t = 1 / w, 1 / v
+    uu, tt = u * u, t * t
+    # series = p[uu, tt] and value = p(tt), Horner's rule on both with
+    # (v q)[uu, tt] = uu q[uu, tt] + q(tt)
+    series = value = 0.0
+    for coeff in _PSI_SERIES:
+        series = series * uu + value
+        value = value * tt + coeff
+    return slope + u * t * (0.5 - (u + t) * series)
+
+
+def _psi_slope_change(b: complex, dz: complex, a: float) -> complex:
+    """``_psi_slope(b + a, dz) - _psi_slope(b, dz)`` with a factor a in
+    every term: the double difference [psi(A) - psi(B) - psi(C) + psi(D)]
+    / dz over A = b + a, B = b, C = A - dz, D = B - dz, its series terms
+    by second divided differences in v = 1/w^2."""
+    A, B = b + a, b
+    C, D = A - dz, B - dz
+    n = _shift(b.real, min(abs(b.imag), abs(D.imag)))
+    change = -a * sum([(A + D + 2 * k)
+                       / ((A + k) * (B + k) * (C + k) * (D + k))
+                       for k in range(n)])
+    A, B, C, D = A + n, B + n, C + n, D + n
+    # ln(AD / BC) / t = ln(1 + t) / t, as 2 atanh(s) / t, s = t / (2 + t)
+    t = -(a / B) * (dz / C)
+    s = t / (2 + t)
+    log_ratio = (cmath.log(A / B * (D / C)) / t if abs(s) > 0.5
+                 else (2 * cmath.atanh(s) / s if s else 2) / (2 + t))
+    uA, uB, uC, uD = 1 / A, 1 / B, 1 / C, 1 / D
+    vA, vB, vC, vD = uA * uA, uB * uB, uC * uC, uD * uD
+    series = (uA * uB * (uA + uB)
+              * (uA * uC * (uA + uC) * _divided(_PSI_SERIES, vA, vC, vB)
+                 + uB * uD * (uB + uD) * _divided(_PSI_SERIES, vC, vB, vD))
+              + uB * uC * (uA * (uA + uB + uC) + uD * (uB + uC + uD))
+              * _divided(_PSI_SERIES, vC, vD)
+              - uB * uC * (uA + uD) / 2)
+    return change - log_ratio * (a / B) / C + a * series
+
+
+def _tanh_slope(y: float, dy: float) -> float:
+    """Re _psi_slope(1/2 + i y, i dy) = (pi/2) [tanh(pi y) - tanh(pi (y -
+    dy))] / dy, from Im psi(1/2 + i y) = (pi/2) tanh(pi y) (6.3.12), with
+    no overflow and no cancellation; (pi^2 / 2) sech^2(pi y) at dy = 0."""
+    p, q = math.pi * y, math.pi * (y - dy)
+    if p > 0 > q:
+        return math.pi / 2 * (math.tanh(p) - math.tanh(q)) / dy
+    slope = -math.expm1(-2 * math.pi * dy) / dy if dy else 2 * math.pi
+    return (math.pi * math.exp(-2 * min(abs(p), abs(q))) * slope
+            / ((1 + math.exp(-2 * abs(p))) * (1 + math.exp(-2 * abs(q)))))
+
+
+def _digamma_slope(resonance, kT: float, lo: float, hi: float):
+    """Re[psi(z(hi)) - psi(z(lo))] / Im[z(hi) - z(lo)], or Re psi'(z(hi))
+    at lo == hi, for z(mu) = 1/2 + (Gamma + i (mu - E_res)) / (2 pi kT);
+    None where |z| reaches ``_Z_MAX``.
+
+    The direct slope holds its real part to rounding unless Gamma << 2 pi
+    kT with E_res far outside the window, where the real part is a small
+    share of the modulus; there the exact tanh part at Re z = 1/2 is split
+    off and the rest carries Gamma / (2 pi kT) as a factor."""
+    s = 2 * math.pi * kT
+    a, y, dy = resonance.Gamma / s, (hi - resonance.energy) / s, (hi - lo) / s
+    if not (a < _Z_MAX and -_Z_MAX < y - dy and y < _Z_MAX):
+        return None
+    dz = complex(0.0, dy)
+    slope = _psi_slope(complex(0.5 + a, y), dz)
+    if abs(slope.real) >= _DIRECT_SHARE * abs(slope):
+        return slope.real
+    return (_tanh_slope(y, dy)
+            + _psi_slope_change(complex(0.5, y), dz, a).real)
 
 
 def _graded_rule(model: TransmissionModel, kT: float, windows, points):
@@ -157,14 +300,18 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
     G = G0 T(mu)).
 
     Each distinct sorted window (+V and -V share one) is evaluated once,
-    its ballistic current next to its deficit: a sharp window in closed
-    form, every other one, and every wide mu, as a row of one
+    its ballistic current next to its deficit, and so is each mu, as one
+    row on one of three paths: a sharp row in the T = 0 closed form; a row
+    whose lowest mu lies at least 40 kT above the coupled subband bottom in
+    the digamma closed form; every other row as a row of one
     ``_graded_rule`` call.  -V takes the ballistic current 0.0 - I(+V) and
     the deficit 0.0 - D(+V), so a zero stays +0.0."""
     res = model.resonance
     bottom = model.modes[model.coupled_index].bottom_energy
+    tail, scale = FERMI_TAIL_KT * kT, (1.0 - abs(res.q) ** 2) * res.Gamma
     windows, pairs = {}, []
     rows = {}   # each graded window -> its biases' (index, negative)s
+    sharp = digamma = 0
     for i, b in enumerate(biases):
         negative = b.mu_source < b.mu_drain
         window = lo, hi = ((b.mu_source, b.mu_drain) if negative
@@ -172,11 +319,20 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
         if window not in windows:
             if not _sharp(kT, lo, hi):
                 # integral of f from bottom to inf = kT softplus((mu - b)/kT)
-                windows[window] = CURRENT_PER_MEV * sum([
+                ballistic = CURRENT_PER_MEV * sum([
                     _softplus_energy(hi, m.bottom_energy, kT)
                     - _softplus_energy(lo, m.bottom_energy, kT)
-                    for m in model.modes]), None, None
+                    for m in model.modes])
+                slope = (_digamma_slope(res, kT, lo, hi)
+                         if lo - tail >= bottom else None)
+                if slope is None:
+                    windows[window] = ballistic, None, None
+                else:
+                    digamma += 1
+                    deficit = scale * ((hi - lo) / (2 * math.pi * kT)) * slope
+                    windows[window] = ballistic, deficit, 0.0 - deficit
             else:
+                sharp += 1
                 ballistic = CURRENT_PER_MEV * sum([
                     max(0.0, hi - m.bottom_energy)
                     - max(0.0, lo - m.bottom_energy) for m in model.modes])
@@ -188,16 +344,33 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
             rows.setdefault(window, []).append((i, negative))
         pairs.append((0.0 - ballistic, minus) if negative
                      else (ballistic, plus))
-    smooth = [not _sharp(kT, mu) for mu in mus]
-    if not (rows or any(smooth)):
-        return pairs, [None] * len(mus)
-    graded = _graded_rule(model, kT, list(rows), [
-        mu for mu, s in zip(mus, smooth) if s]).tolist()
+    dips, points = [], []   # points: each graded mu's index in dips
+    for mu in mus:
+        dip = None
+        if _sharp(kT, mu):
+            sharp += 1
+        elif mu - tail >= bottom and (
+                slope := _digamma_slope(res, kT, mu, mu)) is not None:
+            digamma += 1
+            dip = scale / (2 * math.pi) * slope / kT
+        else:
+            points.append(len(dips))
+        dips.append(dip)
+    paths = ROW_PATHS.get()
+    if paths is not None:
+        paths["sharp"] += sharp
+        paths["digamma"] += digamma
+        paths["graded"] += len(rows) + len(points)
+    if not (rows or points):
+        return pairs, dips
+    graded = _graded_rule(model, kT, list(rows),
+                          [mus[j] for j in points]).tolist()
     for deficit, biases_of_row in zip(graded, rows.values()):
         for i, negative in biases_of_row:
             pairs[i] = pairs[i][0], 0.0 - deficit if negative else deficit
-    dips = iter(graded[len(rows):])
-    return pairs, [next(dips) / kT if s else None for s in smooth]
+    for j, dip in zip(points, graded[len(rows):]):
+        dips[j] = dip / kT
+    return pairs, dips
 
 
 def _conductance(model: TransmissionModel, kT: float, mu: float,
@@ -218,7 +391,7 @@ def current_components(bias: BiasPoint, model: TransmissionModel,
     """(ballistic current, dip deficit) in A, I = ballistic - deficit,
     then the ``linear_conductance`` in S at each of ``mus`` at the bias
     temperature, each equal to its own call bit for bit: the deficit and
-    the conductances are rows of one ``_graded_rule`` call where not sharp.
+    the conductances are rows of one ``_integrals`` pass.
 
     The deficit is computed as its own integral (not by subtracting two
     currents), so weight scaling and the parallel/antiparallel ratio are
@@ -243,7 +416,8 @@ def linear_conductance(model: TransmissionModel, temperature: float,
                        mu: float) -> float:
     """dI/dV at V = 0, in S, exactly: G0 T(mu) at T = 0, else
     G0 [sum_m f(bottom_m) - w integral_bottom^inf (1 - T_fano)(-df/dE) dE]
-    on the graded rule.  A k_B T below the float spacing at mu is a step."""
+    as a digamma or graded row.  A k_B T below the float spacing at mu is a
+    step."""
     kT = thermal_energy(temperature)
     _, (dip,) = _integrals(model, kT, [], [mu])
     return _conductance(model, kT, mu, dip)
@@ -268,8 +442,10 @@ def model_from_config(config: DeviceConfig,
 
 def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
     """The ``iv_curve`` of each model: at T = 0 from the closed forms on
-    floats, at T > 0 from one ``_graded_rule`` call, a deficit per nonzero
-    bias; G once at each distinct mu."""
+    floats, at T > 0 from one ``_integrals`` pass, a deficit row per
+    distinct nonzero-bias window and a dip row per distinct mu, each sharp,
+    digamma (40 kT clear of the coupled subband bottom) or graded; G once at
+    each distinct mu."""
     V_grid = list(V_grid)
     if not V_grid or any(b <= a for a, b in zip(V_grid, V_grid[1:])):
         raise ValueError("bias grid must be nonempty and strictly increasing")
@@ -281,6 +457,8 @@ def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
         currents = [[current(b, m) if V else 0.0
                      for V, b in zip(V_grid, biases)] for m in models]
         dips = [None] * len(mus)
+        if (paths := ROW_PATHS.get()) is not None:
+            paths["sharp"] += len(mus)
     else:
         moving = [b for V, b in zip(V_grid, biases) if V]
         pairs, dips = _integrals(models[0], kT, moving, mus)

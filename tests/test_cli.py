@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fanospin
-from fanospin import landauer
+from fanospin import cli, landauer
 from fanospin.cli import MAX_POINTS, SUBCOMMANDS, _linspace, main
 from fanospin.config import (GAMMA_MIN, LIMIT, apply_overrides,
                              default_config, dumps, validate)
@@ -350,10 +350,36 @@ def test_iv_integrates_each_deficit_once(tmp_path, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(landauer, name, counted)
-    rc = main(["iv", "--set", "temperature=4", "--out", str(tmp_path)])
-    assert rc == 0
-    # 81 default biases: one graded-rule pass for both orientations
-    assert calls == {"model_from_config": 1, "_graded_rule": 1}
+    # 81 default biases, one model for both orientations: 40 mirrored
+    # windows and 81 chemical potentials, 121 rows.  The bottom lies 725 kT
+    # below the lowest mu at 0.1 K, so every row is closed, and 18 kT at
+    # 4 K, so every row is graded, in one pass
+    for T, graded_calls, path in ((0.1, 0, "digamma"), (4.0, 1, "graded")):
+        out = tmp_path / str(T)
+        for name in calls:
+            calls[name] = 0
+        assert main(["iv", "--set", f"temperature={T}",
+                     "--out", str(out)]) == 0
+        assert calls == {"model_from_config": 1,
+                         "_graded_rule": graded_calls}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["paths"] == dict(dict.fromkeys(landauer.PATHS, 0),
+                                         **{path: 121})
+
+
+@pytest.mark.parametrize("command", ["iv", "readout"])
+@pytest.mark.parametrize("T", [0.0, 0.1, 4.0])
+def test_row_path_counts_leave_data_files_alone(tmp_path, monkeypatch,
+                                                command, T):
+    # the runs with and without the row-path collector write the same bytes
+    data = "readout.json" if command == "readout" else "iv.csv"
+    args = [command, "--set", f"temperature={T}", "--out"]
+    assert main(args + [str(tmp_path / "counted")]) == 0
+    monkeypatch.setattr(cli, "_counting_rows",
+                        lambda compute, *a: (compute(*a), {}))
+    assert main(args + [str(tmp_path / "plain")]) == 0
+    assert ((tmp_path / "counted" / data).read_bytes()
+            == (tmp_path / "plain" / data).read_bytes())
 
 
 def test_manifest_lists_outputs(tmp_path):
@@ -684,11 +710,14 @@ NUMPY_PROBE = ("import runpy, sys\n"
     (["iv", "--set", "temperature=0"], 0, False, ["landauer"], None),
     (["readout", "--set", "temperature=0"], 0, False,
      ["landauer", "readout"], None),
-    (["iv"], 0, True, ["landauer"], None),
-    (["readout"], 0, True, ["landauer", "readout"], None),
+    (["iv"], 0, False, ["landauer"], None),
+    (["readout"], 0, False, ["landauer", "readout"], None),
+    (["iv", "--set", "temperature=4"], 0, True, ["landauer"], None),
+    (["readout", "--set", "temperature=4"], 0, True,
+     ["landauer", "readout"], None),
     (["oracle"], 0, True, ["lattice_oracle"], None),
 ], ids=["levels", "help", "usage", "unreadable", "rejected", "sweep", "iv-T0",
-        "readout-T0", "iv", "readout", "oracle"])
+        "readout-T0", "iv", "readout", "iv-4K", "readout-4K", "oracle"])
 def test_numpy_loads_only_where_a_subcommand_computes(tmp_path, args, code,
                                                       numpy_loaded, transport,
                                                       needle):
@@ -716,3 +745,24 @@ def test_numpy_loads_only_where_a_subcommand_computes(tmp_path, args, code,
         assert manifest["versions"] == expected
         data = "readout.json" if args[0] == "readout" else f"{args[0]}.csv"
         assert manifest["outputs"] == [str(out / data)]
+        # graded rows are exactly the runs that load numpy
+        if args[0] in ("iv", "readout"):
+            paths = manifest["paths"]
+            assert sorted(paths) == sorted(landauer.PATHS)
+            assert all(type(n) is int and n >= 0 for n in paths.values())
+            assert sum(paths.values()) > 0
+            assert (paths["graded"] > 0) == numpy_loaded
+        else:
+            assert "paths" not in manifest
+
+
+def test_compare_cli_outputs_finds_a_tree_identical_to_itself():
+    repo = Path(__file__).resolve().parents[1]
+    script = repo / "scripts" / "compare_cli_outputs.py"
+    proc = subprocess.run([sys.executable, str(script), str(repo), str(repo),
+                           "--only", "readout", "reject-usage"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["readout: identical",
+                                        "reject-usage: identical",
+                                        "2 of 2 commands identical"]

@@ -293,29 +293,46 @@ def _count_graded_rows(monkeypatch):
     return calls
 
 
+def _row_paths(compute, *args):
+    """(compute(*args), its rows counted per path by ``ROW_PATHS``)."""
+    paths = dict.fromkeys(landauer.PATHS, 0)
+    token = landauer.ROW_PATHS.set(paths)
+    try:
+        return compute(*args), paths
+    finally:
+        landauer.ROW_PATHS.reset(token)
+
+
 @pytest.mark.parametrize("m", [1, 3, 40])
 def test_iv_curve_passes_each_mirrored_window_once(monkeypatch, m):
     # +-V share one sorted window: m window rows, and one point row per
-    # distinct chemical potential mu_source +- V/2 (2m + 1 of them)
-    cfg = validate(DeviceConfig(
-        eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0, mu_source=7.25,
-        V_sd=1.0, temperature=4.0, modes=(Mode(0.0, coupled=True),)))
+    # distinct chemical potential mu_source +- V/2 (2m + 1 of them).  At
+    # 4 K the bottom at 0 meV lies 15 kT below the lowest mu, so every row
+    # is graded, in one call; 40 kT clear of every mu, every row is closed
     pos = [2.0 * k / m for k in range(1, m + 1)]
     grid = [-v for v in reversed(pos)] + [0.0] + pos
     calls = _count_graded_rows(monkeypatch)
-    curve = iv_curve(cfg, grid)
-    assert calls == [(m, 2 * m + 1)]
-    model = model_from_config(cfg)
-    for V, p in zip(grid, curve.points):
-        bias = BiasPoint(7.25 + V / 2, 7.25 - V / 2, 4.0)
-        assert p.I == current(bias, model)
+    for bottom, T, path in ((0.0, 4.0, "graded"), (-1000.0, 4.0, "digamma"),
+                            (0.0, 0.1, "digamma")):
+        cfg = validate(DeviceConfig(
+            eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0, mu_source=7.25,
+            V_sd=1.0, temperature=T, modes=(Mode(bottom, coupled=True),)))
+        del calls[:]
+        curve, paths = _row_paths(iv_curve, cfg, grid)
+        assert calls == ([(m, 2 * m + 1)] if path == "graded" else [])
+        assert paths == dict(dict.fromkeys(landauer.PATHS, 0),
+                             **{path: 3 * m + 1})
+        model = model_from_config(cfg)
+        for V, p in zip(grid, curve.points):
+            bias = BiasPoint(7.25 + V / 2, 7.25 - V / 2, T)
+            assert p.I == current(bias, model)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2])
 def test_iv_curve_takes_each_window_ballistic_current_once(monkeypatch,
                                                            n_modes):
     # +-V share one sorted window, so its ballistic current, two softplus
-    # terms per mode, is computed once for both signs
+    # terms per mode, is computed once for both signs, on either path
     calls = []
     original = landauer._softplus_energy
 
@@ -325,14 +342,17 @@ def test_iv_curve_takes_each_window_ballistic_current_once(monkeypatch,
 
     monkeypatch.setattr(landauer, "_softplus_energy", counted)
     modes = (Mode(0.0, coupled=True), Mode(6.5))[:n_modes]
-    cfg = validate(DeviceConfig(
-        eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0, mu_source=7.25,
-        V_sd=1.0, temperature=4.0, modes=modes))
     grid = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
-    curve = iv_curve(cfg, grid)
-    assert len(calls) == 3 * 2 * n_modes
-    for p, q in zip(curve.points, reversed(curve.points)):
-        assert p.I == -q.I
+    for T, path in ((0.1, "digamma"), (4.0, "graded")):
+        cfg = validate(DeviceConfig(
+            eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0, mu_source=7.25,
+            V_sd=1.0, temperature=T, modes=modes))
+        del calls[:]
+        curve, paths = _row_paths(iv_curve, cfg, grid)
+        assert len(calls) == 3 * 2 * n_modes
+        assert paths[path] == 3 + 7
+        for p, q in zip(curve.points, reversed(curve.points)):
+            assert p.I == -q.I
 
 
 def test_negative_bias_zero_current_is_positive_zero(tmp_path):
@@ -351,27 +371,38 @@ def test_negative_bias_zero_current_is_positive_zero(tmp_path):
 
 
 def test_current_components_appends_exact_conductances(monkeypatch):
+    # the window (4.5, 5.5) and the points 5.0 and 4.5 over a bottom at
+    # 0 meV: 40 kT is 0.34 meV at 0.1 K and 14 meV at 4 K
     calls = _count_graded_rows(monkeypatch)
     model = make_model(E0=5.0, bottom=0.0)
-    for T in (0.0, 1e-300, 0.1, 4.0, 40.0):
+    for T, path in ((0.0, "sharp"), (1e-300, "sharp"), (0.1, "digamma"),
+                    (4.0, "graded"), (40.0, "graded")):
         bias = BiasPoint(5.5, 4.5, T)
         del calls[:]
-        ballistic, deficit, *G = current_components(bias, model, 5.0, 4.5)
-        assert calls == ([] if T in (0.0, 1e-300) else [(1, 2)])
+        (ballistic, deficit, *G), paths = _row_paths(
+            current_components, bias, model, 5.0, 4.5)
+        assert calls == ([(1, 2)] if path == "graded" else [])
+        assert paths == dict(dict.fromkeys(landauer.PATHS, 0), **{path: 3})
         assert (ballistic, deficit) == current_components(bias, model)
         assert G == [linear_conductance(model, T, mu) for mu in (5.0, 4.5)]
 
 
 @pytest.mark.parametrize("T, kernel_calls", [(0.0, 0), (1e-300, 0),
-                                             (0.1, 1), (40.0, 1)])
+                                             (0.1, 0), (1.0, 0),
+                                             (4.0, 1), (40.0, 1)])
 def test_readout_report_makes_at_most_one_kernel_call(monkeypatch, T,
                                                        kernel_calls):
+    # the deficit window (6.25, 7.25) and the point at the dip, 7.25 meV,
+    # over a bottom at 0 meV: sharp at T = 0 and 1e-300 K, closed while
+    # 40 kT clears the bottom (0.1 and 1 K), else graded in one call
     calls = _count_graded_rows(monkeypatch)
-    readout_report(validate(DeviceConfig(
+    _, paths = _row_paths(readout_report, validate(DeviceConfig(
         eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0, mu_source=7.25,
         V_sd=1.0, temperature=T, modes=(Mode(0.0, coupled=True),))))
-    # the deficit window and the point at the dip
     assert calls == [(1, 1)] * kernel_calls
+    path = ("sharp" if T < 1e-3 else "graded" if kernel_calls
+            else "digamma")
+    assert paths == dict(dict.fromkeys(landauer.PATHS, 0), **{path: 2})
 
 
 @settings(max_examples=60, deadline=None)
@@ -524,3 +555,108 @@ def test_finite_T_kernel_matches_mpmath(Gamma, q, bottom, E_res):
         BiasPoint(MU_REF + V_REF / 2, MU_REF - V_REF / 2, T), m)
     assert abs(d / CURRENT_PER_MEV - deficit) <= 1e-12 * V_REF
     assert abs(linear_conductance(m, T, MU_REF) / G0 - g) <= 1e-12
+
+
+# --- Closed finite-T rows: the complex digamma form ------------------------
+
+mpmath = pytest.importorskip("mpmath")
+
+#: Re z >= 1/2 and |z| up to ~1e300, log-uniform in each part.
+psi_arguments = st.builds(
+    complex, st.floats(-1, 4).map(lambda k: max(0.5, 0.4 + 10.0 ** k)),
+    st.floats(-300, 300).map(lambda k: 10.0 ** k) | st.just(0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=psi_arguments, sign=st.sampled_from([1, -1]),
+       step=st.floats(-10, 1).map(lambda k: 10.0 ** k) | st.just(0.0))
+@example(z=complex(1.4616321449683622, 0.0), sign=1, step=0.0)
+@example(z=complex(0.5, 1e300), sign=-1, step=1e-6)
+@example(z=complex(0.5, 3.0), sign=1, step=2.0)     # the segment crosses 0
+def test_psi_slope_matches_mpmath(z, sign, step):
+    # (psi(z) - psi(z - dz)) / dz for a step dz = i step |z| along Im z, as
+    # the rows take it, and psi'(z) at step 0
+    z = complex(z.real, sign * z.imag)
+    dz = complex(0.0, step * abs(z))
+    digits = 30 + max(0, round(math.log10(abs(z) / abs(dz)))) if dz else 30
+    with mpmath.workdps(digits):
+        if dz:
+            Z, D = mpmath.mpc(z), mpmath.mpc(dz)
+            reference = complex((mpmath.digamma(Z) - mpmath.digamma(Z - D))
+                                / D)
+        else:
+            reference = complex(mpmath.psi(1, z))
+    got = landauer._psi_slope(z, dz)
+    assert abs(got - reference) <= 1e-14 * abs(reference)
+
+
+def _closed_and_graded(model, kT, lo, hi):
+    """(closed, graded) unit-weight rows of the window (lo, hi) and of the
+    point lo, the point rows as ``_integrals`` gives them (divided by kT)."""
+    (((_, deficit),), (dip,)), paths = _row_paths(
+        landauer._integrals, model, kT, [BiasPoint(hi, lo, 1.0)], [lo])
+    assert paths == dict(dict.fromkeys(landauer.PATHS, 0), digamma=2)
+    window, point = landauer._graded_rule(model, kT, [(lo, hi)], [lo])
+    return (deficit, dip), (window, point / kT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(T=st.floats(-1.5, 2).map(lambda k: 10.0 ** k),
+       ratio=st.floats(-6, 3).map(lambda k: 10.0 ** k),
+       width=st.floats(-9, 1.3).map(lambda k: 10.0 ** k),
+       offset=st.floats(-15, 15), q=st.floats(0, 0.99))
+@example(T=0.1, ratio=1e-6, width=1e-9, offset=12.0, q=0.0)
+@example(T=4.0, ratio=1e-6, width=1e-9, offset=-15.0, q=0.5)
+@example(T=1.0, ratio=1e-6, width=20.0, offset=-5.0, q=0.0)
+@example(T=40.0, ratio=1e3, width=1e-9, offset=0.5, q=0.0)
+def test_closed_rows_match_the_graded_rule(T, ratio, width, offset, q):
+    # Gamma / (2 pi kT) = ratio, the window (lo, hi) of width kT * width,
+    # E_res offset by kT * offset from its centre; the bottom out of reach,
+    # so both forms integrate the same Lorentzian over the whole line (up
+    # to Fermi tails of weight e^-40).  E_res sits at 0 meV, within 25 kT
+    # of every mu: the graded rule forms E - E_res from absolute energies,
+    # which at 7 meV would move a dip of Gamma ~ 1e-7 meV by 1e-8 of its
+    # width, and a dip that narrow just past its 40 kT reach still weighs
+    # pi Gamma e^-40 against a row of order Gamma^2 / kT
+    kT = thermal_energy(T)
+    lo = -kT * (offset + width / 2)
+    hi = lo + kT * width
+    model = make_model(E0=0.0, Gamma=2 * math.pi * kT * ratio,
+                       q=complex(0, q), bottom=lo - 1000 * kT)
+    closed, graded = _closed_and_graded(model, kT, lo, hi)
+    for c, g in zip(closed, graded):
+        assert abs(c - g) <= 1e-13 * abs(g)
+
+
+@pytest.mark.parametrize("T", [0.1, 4.0, 40.0])
+def test_rows_take_the_closed_form_exactly_40_kT_clear(T):
+    # the bottom at mu_lo - 40 kT takes the closed form, one ulp closer
+    # the graded rule; each agrees with the other to rounding
+    kT = thermal_energy(T)
+    lo, hi = 7.0, 7.5
+    edge = lo - landauer.FERMI_TAIL_KT * kT
+    rows = {}
+    for bottom, path in ((edge, "digamma"),
+                         (math.nextafter(edge, math.inf), "graded")):
+        model = make_model(E0=7.45, Gamma=0.3, q=0.5j, bottom=bottom)
+        rows[path], paths = _row_paths(
+            landauer._integrals, model, kT, [BiasPoint(hi, lo, T)], [lo])
+        assert paths == dict(dict.fromkeys(landauer.PATHS, 0), **{path: 2})
+    (((_, closed),), (closed_dip,)) = rows["digamma"]
+    (((_, graded),), (graded_dip,)) = rows["graded"]
+    assert closed == pytest.approx(graded, rel=1e-13)
+    assert closed_dip == pytest.approx(graded_dip, rel=1e-13)
+
+
+def test_zero_mu_at_1e_300_K_stays_on_the_graded_rule():
+    # mu = 0 meV is never sharp; at 1e-300 K its |z| ~ 1e301 is beyond the
+    # closed form's range, so the row keeps the graded rule's finite value
+    model = make_model(E0=7.25, Gamma=1.0, bottom=-1000.0)
+    kT = thermal_energy(1e-300)
+    (ballistic, deficit, G), paths = _row_paths(
+        current_components, BiasPoint(0.5, 0.0, 1e-300), model, 0.0)
+    assert paths == dict(dict.fromkeys(landauer.PATHS, 0), graded=2)
+    window, point = landauer._graded_rule(model, kT, [(0.0, 0.5)], [0.0])
+    assert deficit == CURRENT_PER_MEV * window
+    assert G == landauer._conductance(model, kT, 0.0, point / kT)
+    assert math.isfinite(deficit) and math.isfinite(G)
