@@ -32,8 +32,9 @@ MODES3 = ('modes=[{"bottom_energy": 0.0, "coupled": true}, '
           '{"bottom_energy": 7.6, "coupled": false}]')
 
 #: (name, arguments before --out): defaults, explicit grids, T = 0, 1e-300,
-#: 0.1, 1, 4 and 40 K, one and three modes, q, oracle couplings, and
-#: rejections exiting 1, 2, 64 and 66.
+#: 0.1, 1, 4 and 40 K, one and three modes, q, oracle couplings, a subband
+#: bottom on a grid node or a window edge, and rejections exiting 1, 2, 64
+#: and 66.
 COMMANDS = [
     ("levels", ["levels"]),
     ("sweep", ["sweep"]),
@@ -72,6 +73,14 @@ for _T in ("0.1", "4"):
         (f"iv-bottom-near-{_T}K", ["iv", "--set", f"temperature={_T}",
                                    "--set", "modes.0.bottom_energy=6.5"]),
     ]
+#: T = 0 with three modes, and the uncoupled bottom 6.5 meV on a sweep node
+#: and on the drain edge of the V = +-1.5 mV windows of a T = 0 ``iv``.
+COMMANDS += [
+    ("iv-modes3-0K", ["iv", "--set", "temperature=0", "--set", MODES3]),
+    ("sweep-modes3-bottom-node", ["sweep", "--set", MODES3, "--grid=6:8:9"]),
+    ("iv-modes3-0K-bottom-edge", ["iv", "--set", "temperature=0", "--set",
+                                  MODES3, "--grid=-2:2:9"]),
+]
 COMMANDS += [
     ("readout-1K-spin-down", ["readout", "--set", "temperature=1",
                               "--set", "dot_spin=Down"]),

@@ -166,11 +166,9 @@ def _run_sweep(cfg: DeviceConfig, args, out: Path) -> dict:
         for bottom, coupled in modes:
             # mode_transmission's T; R = w (1 - T_fano) on the open coupled
             # mode, so it halves exactly
-            is_open = E >= bottom
-            mode_cells = (is_open * (1.0 - r_par if coupled else 1.0),
-                          is_open * (1.0 - r_anti if coupled else 1.0),
-                          (is_open & coupled) * r_par,
-                          (is_open & coupled) * r_anti)
+            mode_cells = (((1.0 - r_par, 1.0 - r_anti, r_par, r_anti)
+                           if coupled else (1.0, 1.0, 0.0, 0.0))
+                          if E >= bottom else (0.0, 0.0, 0.0, 0.0))
             cells += mode_cells
             totals = [s + c for s, c in zip(totals, mode_cells)]
         return cells + totals

@@ -8,9 +8,9 @@ antiparallel to the wire polarization only the S=1 component of the
 incoming two-spin state (weight 1/2) can scatter off the resonance, so the
 reflection is half the parallel one at every energy.
 
-``fano_transmission``, ``spin_channel_reflection``, ``mode_transmission``
-and ``total_transmission`` take a float or a numpy array of energies; with
-only + - * / on reals, both give the same result bit for bit.
+``fano_transmission`` and ``spin_channel_reflection`` take a float or a
+numpy array of energies, bit for bit alike (only + - * / on reals);
+``mode_transmission`` and ``total_transmission`` take a float.
 
 The dip area over a sharp window is the closed form ``dip_integral``,
 shared by the mean reflection and the T = 0 current deficit.
@@ -93,20 +93,19 @@ def spin_channel_reflection(E, model: TransmissionModel):
     return w * (1.0 - (d2 + b2) / (d2 + G2))
 
 
-def mode_transmission(E, model: TransmissionModel, mode_index: int):
-    """Per-mode transmission at a float or an array of energies: 0 below
-    the subband bottom; ballistic (1) for uncoupled modes; the dot-coupled
-    mode carries the Fano dip."""
+def mode_transmission(E: float, model: TransmissionModel, mode_index: int):
+    """Per-mode transmission at energy E: 0.0 below the subband bottom, 1.0
+    on an open uncoupled mode, the Fano dip on the open dot-coupled mode."""
     if not 0 <= mode_index < len(model.modes):
         raise IndexError(f"mode index {mode_index} out of range")
     mode = model.modes[mode_index]
     t = 1.0 - spin_channel_reflection(E, model) if mode.coupled else 1.0
-    return (E >= mode.bottom_energy) * t
+    return t if E >= mode.bottom_energy else 0.0
 
 
-def total_transmission(E, model: TransmissionModel):
-    """Sum of ``mode_transmission`` over the modes, in one pass, at a float
-    or an array of energies (bit for bit the per-mode sum)."""
+def total_transmission(E: float, model: TransmissionModel) -> float:
+    """Sum of ``mode_transmission`` over the modes at energy E, in one pass
+    and in mode order: bit for bit the per-mode sum."""
     E_res, b2, G2, w, modes = model.lineshape
     # spin_channel_reflection inline: a call adds a fifth to a scalar sweep
     eps = E - E_res
@@ -114,7 +113,8 @@ def total_transmission(E, model: TransmissionModel):
     t = 1.0 - w * (1.0 - (d2 + b2) / (d2 + G2))
     total = 0.0
     for bottom, coupled in modes:
-        total = total + (E >= bottom) * (t if coupled else 1.0)
+        if E >= bottom:
+            total += t if coupled else 1.0
     return total
 
 

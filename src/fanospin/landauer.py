@@ -114,12 +114,6 @@ def _softplus_energy(mu: float, bottom: float, kT: float) -> float:
     return kT * math.log1p(math.exp(x))
 
 
-def _sharp(kT: float, *mus: float) -> bool:
-    """Every mu +- 40 kT rounds to mu, so the T = 0 closed forms are exact."""
-    tail = FERMI_TAIL_KT * kT
-    return kT == 0 or all(mu - tail == mu == mu + tail for mu in mus)
-
-
 def _divided(coeffs, *nodes):
     """The divided difference of a polynomial (``coeffs``, highest power
     first) on two or three ``nodes``, which may repeat, by repeated
@@ -304,11 +298,13 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
     row on one of three paths: a sharp row in the T = 0 closed form; a row
     whose lowest mu lies at least 40 kT above the coupled subband bottom in
     the digamma closed form; every other row as a row of one
-    ``_graded_rule`` call.  -V takes the ballistic current 0.0 - I(+V) and
+    ``_graded_rule`` call.  A row is sharp at kT = 0 or where each of its mu
+    +- 40 kT rounds to mu.  -V takes the ballistic current 0.0 - I(+V) and
     the deficit 0.0 - D(+V), so a zero stays +0.0."""
     res = model.resonance
     bottom = model.modes[model.coupled_index].bottom_energy
-    tail, scale = FERMI_TAIL_KT * kT, (1.0 - abs(res.q) ** 2) * res.Gamma
+    if kT:
+        tail, scale = FERMI_TAIL_KT * kT, (1.0 - abs(res.q) ** 2) * res.Gamma
     windows, pairs = {}, []
     rows = {}   # each graded window -> its biases' (index, negative)s
     sharp = digamma = 0
@@ -317,7 +313,18 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
         window = lo, hi = ((b.mu_source, b.mu_drain) if negative
                            else (b.mu_drain, b.mu_source))
         if window not in windows:
-            if not _sharp(kT, lo, hi):
+            if kT == 0 or (lo - tail == lo == lo + tail
+                           and hi - tail == hi == hi + tail):
+                sharp += 1
+                ballistic = 0.0
+                for edge, _ in model.lineshape[4]:
+                    ballistic += ((hi - edge if hi > edge else 0.0)
+                                  - (lo - edge if lo > edge else 0.0))
+                ballistic *= CURRENT_PER_MEV
+                lo = lo if lo > bottom else bottom  # no dip below the subband
+                deficit = dip_integral(res, lo, hi) if lo < hi else 0.0
+                windows[window] = ballistic, deficit, 0.0 - deficit
+            else:
                 # integral of f from bottom to inf = kT softplus((mu - b)/kT)
                 ballistic = CURRENT_PER_MEV * sum([
                     _softplus_energy(hi, m.bottom_energy, kT)
@@ -331,14 +338,6 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
                     digamma += 1
                     deficit = scale * ((hi - lo) / (2 * math.pi * kT)) * slope
                     windows[window] = ballistic, deficit, 0.0 - deficit
-            else:
-                sharp += 1
-                ballistic = CURRENT_PER_MEV * sum([
-                    max(0.0, hi - m.bottom_energy)
-                    - max(0.0, lo - m.bottom_energy) for m in model.modes])
-                lo = max(bottom, lo)    # no dip below the coupled subband
-                deficit = dip_integral(res, lo, hi) if lo < hi else 0.0
-                windows[window] = ballistic, deficit, 0.0 - deficit
         ballistic, plus, minus = windows[window]
         if plus is None:
             rows.setdefault(window, []).append((i, negative))
@@ -347,7 +346,7 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
     dips, points = [], []   # points: each graded mu's index in dips
     for mu in mus:
         dip = None
-        if _sharp(kT, mu):
+        if kT == 0 or mu - tail == mu == mu + tail:
             sharp += 1
         elif mu - tail >= bottom and (
                 slope := _digamma_slope(res, kT, mu, mu)) is not None:
@@ -441,35 +440,38 @@ def model_from_config(config: DeviceConfig,
 
 
 def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
-    """The ``iv_curve`` of each model: at T = 0 from the closed forms on
-    floats, at T > 0 from one ``_integrals`` pass, a deficit row per
-    distinct nonzero-bias window and a dip row per distinct mu, each sharp,
-    digamma (40 kT clear of the coupled subband bottom) or graded; G once at
-    each distinct mu."""
+    """The ``iv_curve`` of each model.  At T = 0: a ``current`` call per
+    nonzero bias, and G_diff = (G0 T(mu_s) + G0 T(mu_d)) / 2 from two
+    ``total_transmission`` calls.  At T > 0: one ``_integrals`` pass, a
+    deficit row per distinct nonzero-bias window and a dip row per distinct
+    mu (sharp, digamma or graded), and G once at each distinct mu."""
     V_grid = list(V_grid)
     if not V_grid or any(b <= a for a, b in zip(V_grid, V_grid[1:])):
         raise ValueError("bias grid must be nonempty and strictly increasing")
     mu0, T = config.mu_source, config.temperature
     biases = [BiasPoint(mu0 + V / 2, mu0 - V / 2, T) for V in V_grid]
     kT = thermal_energy(T)
-    mus = sorted({mu for b in biases for mu in (b.mu_source, b.mu_drain)})
-    if kT == 0:     # closed forms: ``current`` per bias, G0 T(mu) per mu
+    if kT == 0:     # closed forms, each point its own calls
         currents = [[current(b, m) if V else 0.0
                      for V, b in zip(V_grid, biases)] for m in models]
-        dips = [None] * len(mus)
+        G_diff = [[(G0 * total_transmission(b.mu_source, m)
+                    + G0 * total_transmission(b.mu_drain, m)) / 2
+                   for b in biases] for m in models]
         if (paths := ROW_PATHS.get()) is not None:
-            paths["sharp"] += len(mus)
+            paths["sharp"] += len({mu for b in biases
+                                   for mu in (b.mu_source, b.mu_drain)})
     else:
+        mus = sorted({mu for b in biases for mu in (b.mu_source, b.mu_drain)})
         moving = [b for V, b in zip(V_grid, biases) if V]
         pairs, dips = _integrals(models[0], kT, moving, mus)
         pairs = iter(pairs)
         parts = [next(pairs) if V else (0.0, 0.0) for V in V_grid]
         currents = [[ballistic - m.weight * (CURRENT_PER_MEV * deficit)
                      for ballistic, deficit in parts] for m in models]
-    G = (dict(zip(mus, (_conductance(m, kT, mu, dip)
-                        for mu, dip in zip(mus, dips)))) for m in models)
-    G_diff = [[(g[b.mu_source] + g[b.mu_drain]) / 2 for b in biases]
-              for g in G]     # one model's G held at a time
+        G = (dict(zip(mus, (_conductance(m, kT, mu, dip)
+                            for mu, dip in zip(mus, dips)))) for m in models)
+        G_diff = [[(g[b.mu_source] + g[b.mu_drain]) / 2 for b in biases]
+                  for g in G]     # one model's G held at a time
     return tuple(IVCurve(points=tuple(
         IVPoint(V_sd=float(V), I=float(i), G_diff=float(g))
         for V, i, g in zip(V_grid, I, dIdV)))

@@ -109,10 +109,6 @@ def test_array_transmission_matches_scalar_bit_for_bit(
                    modes=modes)
     grid = np.sort(np.concatenate(
         [np.linspace(E0 - span, E0 + span, n), [E0], bottoms]))
-    for i in range(len(modes)):
-        column = mode_transmission(grid, m, i)
-        assert column.tolist() == [mode_transmission(float(E), m, i)
-                                   for E in grid]
     # the model's cached lineshape in fano_transmission's order of operations
     reflection = spin_channel_reflection(grid, m)
     assert reflection.tolist() == [spin_channel_reflection(float(E), m)
@@ -121,17 +117,29 @@ def test_array_transmission_matches_scalar_bit_for_bit(
         m.weight * (1.0 - fano_transmission(float(E) - E0, Gamma,
                                             complex(0.0, q_imag)))
         for E in grid]
-    total = total_transmission(grid, m)
-    assert total.tolist() == [total_transmission(float(E), m) for E in grid]
-    assert total.tolist() == [
-        sum(mode_transmission(float(E), m, i) for i in range(len(modes)))
-        for E in grid]
+    # mode and total transmission take floats: on the grid, at each bottom
+    # and one ulp below it, the total is the mode-ordered sum bit for bit
+    below = [math.nextafter(b, -math.inf) for b in bottoms]
+    for E in grid.tolist() + below:
+        per_mode = [mode_transmission(E, m, i) for i in range(len(modes))]
+        total = 0.0
+        for t in per_mode:
+            total += t
+        assert total_transmission(E, m).hex() == total.hex()
+        for mode, t in zip(modes, per_mode):
+            open_t = (1.0 - spin_channel_reflection(E, m) if mode.coupled
+                      else 1.0)
+            assert t.hex() == (open_t if E >= mode.bottom_energy
+                               else 0.0).hex()
+    for i, (b, under) in enumerate(zip(bottoms, below)):
+        assert mode_transmission(under, m, i).hex() == (0.0).hex()
+        assert mode_transmission(b, m, i) == (
+            1.0 - spin_channel_reflection(b, m) if modes[i].coupled else 1.0)
     # for q = 0 the coupled mode dips exactly to 1 - w at the resonance
     m0 = make_model(orientation, E0=E0, Gamma=Gamma, modes=modes)
     c = m0.coupled_index
-    at_res = mode_transmission(grid, m0, c)[grid == E0]
     expected = 1.0 - m0.weight if E0 >= modes[c].bottom_energy else 0.0
-    assert (at_res == expected).all()
+    assert mode_transmission(E0, m0, c) == expected
 
 
 @given(E=energies)

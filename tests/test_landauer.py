@@ -11,7 +11,7 @@ from fanospin.cli import main
 from fanospin.config import DeviceConfig, Mode, Spin, default_config, validate
 from fanospin.constants import CONSTANTS, CURRENT_PER_MEV, thermal_energy
 from fanospin.dot_spectrum import ResonanceSpec
-from fanospin.fano import SpinOrientation, TransmissionModel
+from fanospin.fano import SpinOrientation, TransmissionModel, dip_integral
 from fanospin.landauer import (BiasPoint, current, current_components,
                                iv_curve, iv_curves, linear_conductance,
                                model_from_config, optimal_bias)
@@ -278,6 +278,74 @@ def test_iv_curve_is_current_and_exact_dIdV_pointwise(
                                grid),
                       iv_curve(dataclasses.replace(cfg, dot_spin=Spin.DOWN),
                                grid))
+
+
+#: Three modes whose uncoupled bottoms, 6.5 and 8.0 meV, are exactly the
+#: mu_drain and mu_source of V = +-1.5 mV about mu_source = 7.25 meV.
+MODES3 = (Mode(0.0, coupled=True), Mode(6.5), Mode(8.0))
+STEP_GRID = [0.5 * k for k in range(-4, 5)]
+
+
+def test_zero_T_curve_points_are_their_own_calls_at_a_subband_bottom():
+    # T(mu) steps at an uncoupled bottom; a curve point on it must still be
+    # its own current and linear_conductance calls, bit for bit
+    cfg = validate(DeviceConfig(
+        eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0, q=0.5j,
+        mu_source=7.25, V_sd=1.0, temperature=0.0, modes=MODES3))
+    curves = iv_curves(cfg, STEP_GRID)
+    assert curves[0] == iv_curve(cfg, STEP_GRID)
+    model = model_from_config(cfg, SpinOrientation.PARALLEL)
+    anti = dataclasses.replace(model, orientation=SpinOrientation.ANTIPARALLEL)
+    on_bottom = 0
+    for m, c in zip((model, anti), curves):
+        for V, p in zip(STEP_GRID, c.points):
+            bias = BiasPoint(7.25 + V / 2, 7.25 - V / 2, 0.0)
+            on_bottom += {bias.mu_source, bias.mu_drain} >= {6.5, 8.0}
+            assert p.I.hex() == current(bias, m).hex()
+            G = (linear_conductance(m, 0.0, bias.mu_source)
+                 + linear_conductance(m, 0.0, bias.mu_drain)) / 2
+            assert p.G_diff.hex() == G.hex()
+    assert on_bottom == 4       # V = +-1.5 mV on both curves
+
+
+@pytest.mark.parametrize("grid", [STEP_GRID, [0.0, 0.5, 1.5, 3.0]])
+def test_zero_T_curve_counts_a_sharp_row_per_distinct_mu(grid):
+    # G takes a sharp row per distinct mu (+-V share theirs on a mirrored
+    # grid), and each nonzero bias's own current call one window row
+    cfg = validate(DeviceConfig(
+        eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0, mu_source=7.25,
+        V_sd=1.0, temperature=0.0, modes=MODES3))
+    mus = {7.25 + s * V / 2 for V in grid for s in (1, -1)}
+    moving = sum(1 for V in grid if V)
+    for compute, n_models in ((iv_curve, 1), (iv_curves, 2)):
+        _, paths = _row_paths(compute, cfg, grid)
+        assert paths == dict(dict.fromkeys(landauer.PATHS, 0),
+                             sharp=len(mus) + n_models * moving)
+
+
+@pytest.mark.parametrize("orientation", list(SpinOrientation))
+@pytest.mark.parametrize("mu_s, mu_d", [
+    (8.0, 6.5), (6.5, 8.0), (7.3, 7.1), (7.1, 7.3), (9.0, -1.0),
+    (-1.0, -2.0), (0.5, -0.5), (-0.5, 0.5), (6.5, 6.5)])
+def test_zero_T_current_is_ballistic_sum_minus_dip_integral(
+        orientation, mu_s, mu_d):
+    # one bias at T = 0: CURRENT_PER_MEV times the open width summed over
+    # the modes in order, minus w CURRENT_PER_MEV times the dip integral
+    # over the window clipped to the coupled bottom; -V negates both parts
+    model = TransmissionModel(ResonanceSpec(7.0, 0.3, 0.4j), orientation,
+                              MODES3)
+    lo, hi = sorted((mu_s, mu_d))
+    ballistic = 0.0
+    for mode in MODES3:
+        ballistic += (max(0.0, hi - mode.bottom_energy)
+                      - max(0.0, lo - mode.bottom_energy))
+    ballistic = CURRENT_PER_MEV * ballistic
+    clipped = max(0.0, lo)
+    dip = dip_integral(model.resonance, clipped, hi) if clipped < hi else 0.0
+    if mu_s < mu_d:
+        ballistic, dip = 0.0 - ballistic, 0.0 - dip
+    expected = ballistic - model.weight * (CURRENT_PER_MEV * dip)
+    assert current(BiasPoint(mu_s, mu_d, 0.0), model).hex() == expected.hex()
 
 
 def _count_graded_rows(monkeypatch):
