@@ -81,6 +81,19 @@ COMMANDS += [
     ("iv-modes3-0K-bottom-edge", ["iv", "--set", "temperature=0", "--set",
                                   MODES3, "--grid=-2:2:9"]),
 ]
+#: A 1 K dip far narrower than kT, 2.75 meV (32 kT) below mu_source; a
+#: subband bottom far below every window at 0 and 4 K; a temperature at
+#: which the Fermi function is 1/2 across every window.
+FAR_BOTTOM = 'modes=[{"bottom_energy": -1e20, "coupled": true}]'
+COMMANDS += [
+    ("readout-split-domain-1K", ["readout", "--set", "mu_source=10", "--set",
+                                 "temperature=1", "--set", "Gamma=1e-6"]),
+    ("iv-far-bottom-0K", ["iv", "--set", FAR_BOTTOM, "--set",
+                          "temperature=0", "--grid=-1:1:5"]),
+    ("iv-far-bottom-4K", ["iv", "--set", FAR_BOTTOM, "--set",
+                          "temperature=4", "--grid=-1:1:5"]),
+    ("readout-1e150K", ["readout", "--set", "temperature=1e150"]),
+]
 COMMANDS += [
     ("readout-1K-spin-down", ["readout", "--set", "temperature=1",
                               "--set", "dot_spin=Down"]),

@@ -25,8 +25,9 @@ Exit codes (sysexits where one fits):
 The CLI imports no numpy.  The runners import the transport modules
 (``landauer``, ``lattice_oracle``, ``readout``) they use, and numpy is
 imported only where arrays are computed: the graded rule, which takes the
-finite-temperature rows whose coupled subband bottom lies within 40 kT, and
-the lattice oracle.  So ``levels``, ``sweep``, an ``iv`` or ``readout`` at
+finite-temperature rows whose coupled subband bottom lies within 40 kT or
+whose dip is much narrower than kT and far outside the window, and the
+lattice oracle.  So ``levels``, ``sweep``, an ``iv`` or ``readout`` at
 T = 0 or clear of the bottom (the default 0.1 K included), ``--help``, usage
 errors and every rejected or unreadable config run without numpy; grids are
 lists from ``_linspace``.  The manifest's ``versions`` records numpy's

@@ -37,8 +37,9 @@ CURRENT_PER_MEV = G0 * 1e-3
 # when judging whether a spin-orbit splitting is large.
 ZEEMAN_REFERENCE_MEV = 0.3
 
-#: The Fermi tails beyond this many kT from every chemical potential weigh
-#: e^-40 ~ 4e-18 of the bias window and are left out.
+#: The Fermi tails beyond this many kT from every chemical potential and
+#: from the resonance weigh e^-40 ~ 4e-18 of the bias window and are left
+#: out; a finite-temperature row always reaches the dip itself.
 FERMI_TAIL_KT = 40.0
 
 

@@ -22,13 +22,14 @@ share one row, and an I-V curve's dI/dV is the exact [G(mu_s) + G(mu_d)] /
   poles mu + i pi kT (2n + 1); with z(mu) = 1/2 + (Gamma + i (mu - E_res))
   / (2 pi kT), a window row is (1 - |q|^2) Gamma Im[psi(z(mu_hi)) -
   psi(z(mu_lo))] and a point row (1 - |q|^2) (Gamma / 2 pi) Re psi'(z(mu))
-  (Abramowitz and Stegun 6.3.5, 6.3.18, 6.4.12), on floats.
-- Graded: every other row (the bottom within 40 kT) is a row of one
-  ``_graded_rule`` call: composite 16-point Gauss-Legendre on the row's
-  [max(bottom, mu_lo - 40 kT), mu_hi + 40 kT], breakpoints graded
-  geometrically (ratio 2) toward E_res from the scale Gamma and toward each
-  chemical potential from the scale pi kT, so no panel is wider than its
-  distance to the nearest pole and the rule is exact to rounding.
+  (Abramowitz and Stegun 6.3.5, 6.3.18, 6.4.12), on floats, unless Gamma
+  << 2 pi kT with E_res far outside the window, where it loses digits.
+- Graded: every other row is a row of one ``_graded_rule`` call:
+  composite 16-point Gauss-Legendre in E - E_res on [max(bottom,
+  min(mu_lo, E_res) - 40 kT), max(mu_hi, E_res) + 40 kT], breakpoints
+  graded geometrically (ratio 2) toward E_res from the scale Gamma and
+  toward each chemical potential from the scale pi kT, so no panel is
+  wider than its distance to the nearest pole: exact to rounding.
 
 Only the graded rule computes with arrays, so numpy is imported there, on
 its first call: a curve or report whose rows are all sharp or closed runs
@@ -67,8 +68,10 @@ ROW_PATHS: ContextVar[dict | None] = ContextVar("ROW_PATHS", default=None)
 _PSI_SERIES = (3617 / 8160, -1 / 12, 691 / 32760, -1 / 132, 1 / 240,
                -1 / 252, 1 / 120, -1 / 12, 0.0)
 
-#: A closed row takes the direct slope while its real part holds at least
-#: this share of its modulus, else the slope split at Re z = 1/2.
+#: A row is closed only while the real part of its slope holds at least
+#: this share of the modulus.  Below it (Gamma << 2 pi kT, E_res far
+#: outside the window) the real part would lose digits to the imaginary
+#: one, and the row goes to the graded rule.
 _DIRECT_SHARE = 1 / 16
 
 #: The largest |z| a closed row takes: beyond it Re psi' ~ Re z / |z|^2
@@ -105,26 +108,22 @@ class IVCurve:
     points: tuple[IVPoint, ...]
 
 
-def _softplus_energy(mu: float, bottom: float, kT: float) -> float:
-    """kT * softplus((mu - bottom)/kT), stable for any kT > 0."""
-    d = mu - bottom
-    x = d / kT          # may overflow to inf for subnormal kT; handled below
-    if x > 0:
-        return d + kT * math.log1p(math.exp(-x))
-    return kT * math.log1p(math.exp(x))
-
-
-def _divided(coeffs, *nodes):
-    """The divided difference of a polynomial (``coeffs``, highest power
-    first) on two or three ``nodes``, which may repeat, by repeated
-    synthetic division: p[x0, x1] or p[x0, x1, x2]."""
-    for x in nodes:
-        value, quotient = 0.0, []
-        for c in coeffs:
-            value = value * x + c
-            quotient.append(value)
-        coeffs = quotient[:-1]
-    return value
+def _open_width(lo: float, hi: float, bottom: float, kT: float) -> float:
+    """The integral over E > bottom of f_hi - f_lo in meV (lo <= hi, kT >
+    0): kT log1p(expm1(dx) f), dx = (hi - lo) / kT and f = 1 / (1 + e^y),
+    y = (bottom - lo) / kT, with the window as a factor.  Past dx = 700 it
+    is the T = 0 width plus kT [ln(1 + e^-|x_hi|) - ln(1 + e^-|x_lo|)],
+    x_mu = (mu - bottom) / kT."""
+    dx, y = (hi - lo) / kT, (bottom - lo) / kT
+    if dx > 700:
+        width = hi - (lo if lo > bottom else bottom) if hi > bottom else 0.0
+        return width + kT * (math.log1p(math.exp(-abs(hi - bottom) / kT))
+                             - math.log1p(math.exp(-abs(y))))
+    if y > 0:   # expm1(dx) f as e^(dx - y) (1 - e^-dx) / (1 + e^-y)
+        g = math.exp(dx - y) * -math.expm1(-dx) / (1.0 + math.exp(-y))
+    else:
+        g = math.expm1(dx) / (1.0 + math.exp(y))
+    return kT * math.log1p(g)
 
 
 def _shift(x: float, y: float) -> int:
@@ -164,65 +163,18 @@ def _psi_slope(z: complex, dz: complex) -> complex:
     return slope + u * t * (0.5 - (u + t) * series)
 
 
-def _psi_slope_change(b: complex, dz: complex, a: float) -> complex:
-    """``_psi_slope(b + a, dz) - _psi_slope(b, dz)`` with a factor a in
-    every term: the double difference [psi(A) - psi(B) - psi(C) + psi(D)]
-    / dz over A = b + a, B = b, C = A - dz, D = B - dz, its series terms
-    by second divided differences in v = 1/w^2."""
-    A, B = b + a, b
-    C, D = A - dz, B - dz
-    n = _shift(b.real, min(abs(b.imag), abs(D.imag)))
-    change = -a * sum([(A + D + 2 * k)
-                       / ((A + k) * (B + k) * (C + k) * (D + k))
-                       for k in range(n)])
-    A, B, C, D = A + n, B + n, C + n, D + n
-    # ln(AD / BC) / t = ln(1 + t) / t, as 2 atanh(s) / t, s = t / (2 + t)
-    t = -(a / B) * (dz / C)
-    s = t / (2 + t)
-    log_ratio = (cmath.log(A / B * (D / C)) / t if abs(s) > 0.5
-                 else (2 * cmath.atanh(s) / s if s else 2) / (2 + t))
-    uA, uB, uC, uD = 1 / A, 1 / B, 1 / C, 1 / D
-    vA, vB, vC, vD = uA * uA, uB * uB, uC * uC, uD * uD
-    series = (uA * uB * (uA + uB)
-              * (uA * uC * (uA + uC) * _divided(_PSI_SERIES, vA, vC, vB)
-                 + uB * uD * (uB + uD) * _divided(_PSI_SERIES, vC, vB, vD))
-              + uB * uC * (uA * (uA + uB + uC) + uD * (uB + uC + uD))
-              * _divided(_PSI_SERIES, vC, vD)
-              - uB * uC * (uA + uD) / 2)
-    return change - log_ratio * (a / B) / C + a * series
-
-
-def _tanh_slope(y: float, dy: float) -> float:
-    """Re _psi_slope(1/2 + i y, i dy) = (pi/2) [tanh(pi y) - tanh(pi (y -
-    dy))] / dy, from Im psi(1/2 + i y) = (pi/2) tanh(pi y) (6.3.12), with
-    no overflow and no cancellation; (pi^2 / 2) sech^2(pi y) at dy = 0."""
-    p, q = math.pi * y, math.pi * (y - dy)
-    if p > 0 > q:
-        return math.pi / 2 * (math.tanh(p) - math.tanh(q)) / dy
-    slope = -math.expm1(-2 * math.pi * dy) / dy if dy else 2 * math.pi
-    return (math.pi * math.exp(-2 * min(abs(p), abs(q))) * slope
-            / ((1 + math.exp(-2 * abs(p))) * (1 + math.exp(-2 * abs(q)))))
-
-
 def _digamma_slope(resonance, kT: float, lo: float, hi: float):
     """Re[psi(z(hi)) - psi(z(lo))] / Im[z(hi) - z(lo)], or Re psi'(z(hi))
     at lo == hi, for z(mu) = 1/2 + (Gamma + i (mu - E_res)) / (2 pi kT);
-    None where |z| reaches ``_Z_MAX``.
-
-    The direct slope holds its real part to rounding unless Gamma << 2 pi
-    kT with E_res far outside the window, where the real part is a small
-    share of the modulus; there the exact tanh part at Re z = 1/2 is split
-    off and the rest carries Gamma / (2 pi kT) as a factor."""
+    None where |z| reaches ``_Z_MAX`` or the real part is below
+    ``_DIRECT_SHARE`` of the slope's modulus."""
     s = 2 * math.pi * kT
     a, y, dy = resonance.Gamma / s, (hi - resonance.energy) / s, (hi - lo) / s
-    if not (a < _Z_MAX and -_Z_MAX < y - dy and y < _Z_MAX):
-        return None
-    dz = complex(0.0, dy)
-    slope = _psi_slope(complex(0.5 + a, y), dz)
-    if abs(slope.real) >= _DIRECT_SHARE * abs(slope):
-        return slope.real
-    return (_tanh_slope(y, dy)
-            + _psi_slope_change(complex(0.5, y), dz, a).real)
+    if a < _Z_MAX and -_Z_MAX < y - dy and y < _Z_MAX:
+        slope = _psi_slope(complex(0.5 + a, y), complex(0.0, dy))
+        if abs(slope.real) >= _DIRECT_SHARE * abs(slope):
+            return slope.real
+    return None
 
 
 def _graded_rule(model: TransmissionModel, kT: float, windows, points):
@@ -230,8 +182,11 @@ def _graded_rule(model: TransmissionModel, kT: float, windows, points):
     window (mu_lo, mu_hi) of (1 - T_fano) (f_hi - f_lo), at each point mu
     of (1 - T_fano) kT (-df/dE).
 
-    A row's breakpoints are its ends and E_res +- Gamma 2^k, mu +- pi kT 2^k
-    for k < n, clipped to the row.  n comes from the widest span of a block
+    A row spans [max(bottom, min(mu_lo, E_res) - 40 kT), max(mu_hi, E_res)
+    + 40 kT], so it reaches a dip narrower than kT outside the window, and
+    is empty where mu_hi + 40 kT lies at or below the bottom.  Its
+    breakpoints are its ends and E_res +- Gamma 2^k, mu +- pi kT 2^k for
+    k < n, clipped to the row.  n comes from the widest span of a block
     of ``_BLOCK_ROWS`` rows, which bounds the memory of a long call; the
     steps past a row's own reach clip onto its ends, and zero-width panels
     are dropped, so each row sees the panels of its one-row call and
@@ -250,21 +205,25 @@ def _graded_rule(model: TransmissionModel, kT: float, windows, points):
 
 
 def _graded_block(model: TransmissionModel, kT: float, rows):
-    """``_graded_rule`` on rows of (mu_lo, mu_hi, Fermi numerator)."""
+    """``_graded_rule`` on rows of (mu_lo, mu_hi, Fermi numerator), every
+    energy measured from E_res, so the nodes are eps = E - E_res."""
     import numpy as np
 
     steps16, weights16 = _gauss_legendre()
     res, tail, pkT = model.resonance, FERMI_TAIL_KT * kT, math.pi * kT
-    bottom = model.modes[model.coupled_index].bottom_energy
-    # per row: its ends, E_res, its mu's; Fermi centre, d, 1 + e^-2d, numerator
-    table = np.array([(max(bottom, lo - tail), hi + tail, res.energy, lo, hi,
-                       0.5 * (lo + hi), 0.5 * (hi - lo),
-                       1.0 + math.exp((lo - hi) / kT), numerator)
-                      for lo, hi, numerator in rows]).T
-    # the span of the first five columns, from the outermost mu's
-    low, high = min(r[0] for r in rows), max(r[1] for r in rows)
-    span = (max(res.energy, high + tail, bottom)
-            - min(res.energy, low, max(bottom, low - tail)))
+    bottom = model.modes[model.coupled_index].bottom_energy - res.energy
+    # per row: its ends, E_res (0), its mu's; Fermi centre, d, 1 + e^-2d,
+    # numerator; a row whose window ends below the bottom stays empty
+    table = []
+    for lo, hi, numerator in rows:
+        e_lo, e_hi = lo - res.energy, hi - res.energy
+        stop = e_hi + tail
+        table.append((max(bottom, min(e_lo, 0.0) - tail),
+                      max(stop, tail) if stop > bottom else stop, 0.0, e_lo,
+                      e_hi, 0.5 * (e_lo + e_hi), 0.5 * (hi - lo),
+                      1.0 + math.exp((lo - hi) / kT), numerator))
+    table = np.array(table).T
+    span = np.ptp(table[:5])    # from every ladder centre to every row end
     n = 1 + max(0, math.ceil(math.log2(span)
                              - math.log2(min(res.Gamma, pkT))))
     with np.errstate(over="ignore"):    # inf steps clip; e^inf gives f = 0
@@ -279,8 +238,8 @@ def _graded_block(model: TransmissionModel, kT: float, rows):
         row, col = np.nonzero(width)
         width = width[row, col]
         centre, d, scale = table[5:8].take(row, 1)
-        E = edges[row, col] + width * steps16          # (16, panels)
-        a, eps = np.abs(E - centre), E - res.energy
+        eps = edges[row, col] + width * steps16         # (16, panels)
+        a = np.abs(eps - centre)
         den = (eps * eps + res.Gamma * res.Gamma) * (
             np.exp((a - d) / kT) + np.exp((a + d) / -kT) + scale)
     sums = np.bincount(row[None].repeat(16, 0).ravel(),
@@ -297,10 +256,10 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
     its ballistic current next to its deficit, and so is each mu, as one
     row on one of three paths: a sharp row in the T = 0 closed form; a row
     whose lowest mu lies at least 40 kT above the coupled subband bottom in
-    the digamma closed form; every other row as a row of one
-    ``_graded_rule`` call.  A row is sharp at kT = 0 or where each of its mu
-    +- 40 kT rounds to mu.  -V takes the ballistic current 0.0 - I(+V) and
-    the deficit 0.0 - D(+V), so a zero stays +0.0."""
+    the digamma closed form where ``_digamma_slope`` takes it; every other
+    row as a row of one ``_graded_rule`` call.  A row is sharp at kT = 0 or
+    where each of its mu +- 40 kT rounds to mu.  -V takes the ballistic
+    current 0.0 - I(+V) and the deficit 0.0 - D(+V), so a zero stays +0.0."""
     res = model.resonance
     bottom = model.modes[model.coupled_index].bottom_energy
     if kT:
@@ -318,17 +277,15 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
                 sharp += 1
                 ballistic = 0.0
                 for edge, _ in model.lineshape[4]:
-                    ballistic += ((hi - edge if hi > edge else 0.0)
-                                  - (lo - edge if lo > edge else 0.0))
+                    ballistic += (hi - (lo if lo > edge else edge)
+                                  if hi > edge else 0.0)
                 ballistic *= CURRENT_PER_MEV
                 lo = lo if lo > bottom else bottom  # no dip below the subband
                 deficit = dip_integral(res, lo, hi) if lo < hi else 0.0
                 windows[window] = ballistic, deficit, 0.0 - deficit
             else:
-                # integral of f from bottom to inf = kT softplus((mu - b)/kT)
                 ballistic = CURRENT_PER_MEV * sum([
-                    _softplus_energy(hi, m.bottom_energy, kT)
-                    - _softplus_energy(lo, m.bottom_energy, kT)
+                    _open_width(lo, hi, m.bottom_energy, kT)
                     for m in model.modes])
                 slope = (_digamma_slope(res, kT, lo, hi)
                          if lo - tail >= bottom else None)

@@ -4,9 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from fanospin import landauer
+from fanospin import config, landauer
 from fanospin.cli import main
 from fanospin.config import DeviceConfig, Mode, Spin, default_config, validate
 from fanospin.constants import CONSTANTS, CURRENT_PER_MEV, thermal_energy
@@ -399,16 +399,16 @@ def test_iv_curve_passes_each_mirrored_window_once(monkeypatch, m):
 @pytest.mark.parametrize("n_modes", [1, 2])
 def test_iv_curve_takes_each_window_ballistic_current_once(monkeypatch,
                                                            n_modes):
-    # +-V share one sorted window, so its ballistic current, two softplus
-    # terms per mode, is computed once for both signs, on either path
+    # +-V share one sorted window, so its ballistic current, one open width
+    # per mode, is computed once for both signs, on either path
     calls = []
-    original = landauer._softplus_energy
+    original = landauer._open_width
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(landauer, "_softplus_energy", counted)
+    monkeypatch.setattr(landauer, "_open_width", counted)
     modes = (Mode(0.0, coupled=True), Mode(6.5))[:n_modes]
     grid = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
     for T, path in ((0.1, "digamma"), (4.0, "graded")):
@@ -417,7 +417,7 @@ def test_iv_curve_takes_each_window_ballistic_current_once(monkeypatch,
             V_sd=1.0, temperature=T, modes=modes))
         del calls[:]
         curve, paths = _row_paths(iv_curve, cfg, grid)
-        assert len(calls) == 3 * 2 * n_modes
+        assert len(calls) == 3 * n_modes
         assert paths[path] == 3 + 7
         for p, q in zip(curve.points, reversed(curve.points)):
             assert p.I == -q.I
@@ -658,42 +658,112 @@ def test_psi_slope_matches_mpmath(z, sign, step):
     assert abs(got - reference) <= 1e-14 * abs(reference)
 
 
-def _closed_and_graded(model, kT, lo, hi):
-    """(closed, graded) unit-weight rows of the window (lo, hi) and of the
-    point lo, the point rows as ``_integrals`` gives them (divided by kT)."""
+def _digamma_rows(model, kT, lo, hi):
+    """The unit-weight rows of the window (lo, hi) and of the point lo over
+    the whole line, the point row as ``_integrals`` gives it (divided by
+    kT), from 50-digit mpmath digamma and trigamma: (1 - |q|^2) Gamma
+    Im[psi(z(hi)) - psi(z(lo))] and (1 - |q|^2) Gamma Re psi'(z(lo)) /
+    (2 pi kT), z(mu) = 1/2 + (Gamma + i (mu - E_res)) / (2 pi kT)."""
+    res = model.resonance
+    with mpmath.workdps(50):
+        s = 2 * mpmath.pi * mpmath.mpf(kT)
+        scale = (1 - abs(res.q) ** 2) * mpmath.mpf(res.Gamma)
+
+        def z(mu):
+            return 0.5 + mpmath.mpc(res.Gamma, mpmath.mpf(mu) - res.energy) / s
+
+        window = scale * mpmath.im(mpmath.digamma(z(hi))
+                                   - mpmath.digamma(z(lo)))
+        point = scale * mpmath.re(mpmath.psi(1, z(lo))) / s
+        return float(window), float(point)
+
+
+def _path_rows(model, kT, lo, hi):
+    """The rows of the window (lo, hi) and of the point lo as
+    ``_integrals`` gives them, and their count per path."""
     (((_, deficit),), (dip,)), paths = _row_paths(
         landauer._integrals, model, kT, [BiasPoint(hi, lo, 1.0)], [lo])
-    assert paths == dict(dict.fromkeys(landauer.PATHS, 0), digamma=2)
-    window, point = landauer._graded_rule(model, kT, [(lo, hi)], [lo])
-    return (deficit, dip), (window, point / kT)
+    return (deficit, dip), paths
 
 
 @settings(max_examples=200, deadline=None)
 @given(T=st.floats(-1.5, 2).map(lambda k: 10.0 ** k),
-       ratio=st.floats(-6, 3).map(lambda k: 10.0 ** k),
-       width=st.floats(-9, 1.3).map(lambda k: 10.0 ** k),
-       offset=st.floats(-15, 15), q=st.floats(0, 0.99))
+       ratio=st.floats(-8, 3).map(lambda k: 10.0 ** k),
+       width=st.floats(-9, 1.5).map(lambda k: 10.0 ** k),
+       offset=st.floats(-60, 60), q=st.floats(0, 0.99))
 @example(T=0.1, ratio=1e-6, width=1e-9, offset=12.0, q=0.0)
 @example(T=4.0, ratio=1e-6, width=1e-9, offset=-15.0, q=0.5)
 @example(T=1.0, ratio=1e-6, width=20.0, offset=-5.0, q=0.0)
 @example(T=40.0, ratio=1e3, width=1e-9, offset=0.5, q=0.0)
+@example(T=4.7, ratio=2.5e-6, width=1e-9, offset=-40.3, q=0.0)
 def test_closed_rows_match_the_graded_rule(T, ratio, width, offset, q):
     # Gamma / (2 pi kT) = ratio, the window (lo, hi) of width kT * width,
-    # E_res offset by kT * offset from its centre; the bottom out of reach,
-    # so both forms integrate the same Lorentzian over the whole line (up
-    # to Fermi tails of weight e^-40).  E_res sits at 0 meV, within 25 kT
-    # of every mu: the graded rule forms E - E_res from absolute energies,
-    # which at 7 meV would move a dip of Gamma ~ 1e-7 meV by 1e-8 of its
-    # width, and a dip that narrow just past its 40 kT reach still weighs
-    # pi Gamma e^-40 against a row of order Gamma^2 / kT
+    # E_res = 7.25 meV offset by kT * offset from its centre; the bottom
+    # out of reach, so every row integrates the Lorentzian over the whole
+    # line (up to Fermi tails of weight e^-40).  A row is closed exactly
+    # where the real part of its digamma slope holds _DIRECT_SHARE of the
+    # modulus, else graded; either way, and the graded rule itself, it
+    # matches mpmath
     kT = thermal_energy(T)
-    lo = -kT * (offset + width / 2)
+    E_res = 7.25
+    lo = E_res - kT * (offset + width / 2)
     hi = lo + kT * width
-    model = make_model(E0=0.0, Gamma=2 * math.pi * kT * ratio,
-                       q=complex(0, q), bottom=lo - 1000 * kT)
-    closed, graded = _closed_and_graded(model, kT, lo, hi)
-    for c, g in zip(closed, graded):
-        assert abs(c - g) <= 1e-13 * abs(g)
+    Gamma = 2 * math.pi * kT * ratio
+    model = make_model(E0=E_res, Gamma=Gamma, q=complex(0, q),
+                       bottom=lo - 1000 * kT)
+    rows, paths = _path_rows(model, kT, lo, hi)
+    s = 2 * math.pi * kT
+    closed = sum(abs(Q.real) >= landauer._DIRECT_SHARE * abs(Q) for Q in (
+        landauer._psi_slope(complex(0.5 + Gamma / s, (mu - E_res) / s),
+                            complex(0.0, dy))
+        for mu, dy in ((hi, (hi - lo) / s), (lo, 0.0))))
+    assert paths == dict(sharp=0, digamma=closed, graded=2 - closed)
+    window, point = landauer._graded_rule(model, kT, [(lo, hi)], [lo])
+    reference = _digamma_rows(model, kT, lo, hi)
+    for got in (rows, (window, point / kT)):
+        for g, r in zip(got, reference):
+            assert abs(g - r) <= 1e-13 * abs(r)
+
+
+def test_graded_rule_resolves_a_narrow_dip_near_7_meV():
+    # Gamma = 1e-6 2 pi kT at 0.1 K, E_res 12 kT above a 1e-9 kT window
+    # centred at 7.25 meV: measured from E_res, the nodes keep the dip's
+    # digits, which E near 7 meV (ulp 8.9e-16 meV against Gamma = 5.4e-8
+    # meV) would round away
+    kT = thermal_energy(0.1)
+    lo, hi = 7.25 - 0.5e-9 * kT, 7.25 + 0.5e-9 * kT
+    model = make_model(E0=7.25 + 12 * kT, Gamma=2e-6 * math.pi * kT,
+                       bottom=lo - 1000 * kT)
+    window, point = landauer._graded_rule(model, kT, [(lo, hi)], [lo])
+    for got, reference in zip((window, point / kT),
+                              _digamma_rows(model, kT, lo, hi)):
+        assert abs(got - reference) <= 1e-13 * abs(reference)
+
+
+def test_graded_rule_reaches_a_narrow_dip_past_40_kT():
+    # a point row 40.3 kT below E_res, Gamma = 2.5e-6 2 pi kT at 4.7 K: the
+    # peak's weight pi Gamma e^-40 is not small against a row of order
+    # Gamma^2 / kT, so the row's range reaches 40 kT past E_res
+    kT = thermal_energy(4.7)
+    mu = 7.25
+    model = make_model(E0=mu + 40.3 * kT, Gamma=5e-6 * math.pi * kT,
+                       bottom=mu - 1000 * kT)
+    (point,) = landauer._graded_rule(model, kT, [], [mu])
+    reference = _digamma_rows(model, kT, mu, mu)[1]
+    assert abs(point / kT - reference) <= 1e-13 * reference
+
+
+def test_split_domain_rows_count_as_graded():
+    # Gamma << 2 pi kT with E_res far outside the window: the digamma
+    # slope's real part is below _DIRECT_SHARE of it, so both rows are
+    # graded rows of one call, which numpy evaluates
+    kT = thermal_energy(1.0)
+    lo, hi = 7.0, 7.5
+    model = make_model(E0=7.25 + 20 * kT, Gamma=1e-6, bottom=-1000.0)
+    rows, paths = _path_rows(model, kT, lo, hi)
+    assert paths == dict(dict.fromkeys(landauer.PATHS, 0), graded=2)
+    window, point = landauer._graded_rule(model, kT, [(lo, hi)], [lo])
+    assert rows == (window, point / kT)
 
 
 @pytest.mark.parametrize("T", [0.1, 4.0, 40.0])
@@ -728,3 +798,75 @@ def test_zero_mu_at_1e_300_K_stays_on_the_graded_rule():
     assert deficit == CURRENT_PER_MEV * window
     assert G == landauer._conductance(model, kT, 0.0, point / kT)
     assert math.isfinite(deficit) and math.isfinite(G)
+
+
+# --- The ballistic window --------------------------------------------------
+
+def _open_width_reference(lo, hi, bottom, kT):
+    """kT [softplus((hi - bottom) / kT) - softplus((lo - bottom) / kT)] in
+    mpmath, from the float arguments as they are, with 50 digits beyond
+    those the difference cancels."""
+    scale = max(1.0, abs(hi - bottom) / kT, abs(lo - bottom) / kT)
+    digits = 50 + max(0, math.ceil(math.log10(scale * kT / (hi - lo))))
+    with mpmath.workdps(digits):
+        kT = mpmath.mpf(kT)
+
+        def softplus(mu):
+            return mpmath.log1p(mpmath.exp((mpmath.mpf(mu) - bottom) / kT))
+
+        return float(kT * (softplus(hi) - softplus(lo)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=st.floats(-2, 3).map(lambda k: 10.0 ** k),
+       mu=st.floats(-50.0, 50.0), x=st.floats(-60.0, 60.0),
+       dx=st.floats(-12, 3.5).map(lambda k: 10.0 ** k))
+@example(T=4.0, mu=7.25, x=0.0, dx=1e-9)
+@example(T=0.1, mu=-5.0, x=-600.0, dx=1e3)      # past expm1's range
+def test_open_width_matches_mpmath(T, mu, x, dx):
+    # the window (mu, mu + dx kT) over a bottom x kT below mu
+    kT = thermal_energy(T)
+    lo, hi = mu, mu + dx * kT
+    assume(hi > lo)
+    bottom = mu - x * kT
+    got = landauer._open_width(lo, hi, bottom, kT)
+    reference = _open_width_reference(lo, hi, bottom, kT)
+    assert abs(got - reference) <= 1e-13 * reference
+
+
+@pytest.mark.parametrize("lo, hi, bottom, T", [
+    (7.25 - 5e-10, 7.25 + 5e-10, 6.5, 4.0),     # a 1e-9 mV window
+    (7.25 - 5e-10, 7.25 + 5e-10, 6.5, 300.0),
+    (6.75, 7.75, 0.0, 1e20),                    # f = 1/2 everywhere
+    (6.75, 7.75, 0.0, 1e150),
+    (6.75, 7.75, -1e20, 4.0),                   # a bottom far below
+    (7.0, 7.5, -config.LIMIT, 0.1),
+    (-20.0, -5.0, 0.0, 0.1),                    # 580 kT below the bottom
+    (-5.0, 5.0, -10.0, 0.1)])                   # a 1160 kT window
+def test_open_width_keeps_the_window(lo, hi, bottom, T):
+    # the bias is a factor, so it does not cancel against a far bottom or
+    # a hot Fermi function
+    kT = thermal_energy(T)
+    reference = _open_width_reference(lo, hi, bottom, kT)
+    assert abs(landauer._open_width(lo, hi, bottom, kT)
+               - reference) <= 1e-13 * reference
+
+
+@pytest.mark.parametrize("T", [0.0, 4.0])
+@pytest.mark.parametrize("bottom", [-1e20, -config.LIMIT])
+def test_far_bottom_current_follows_the_bias(T, bottom):
+    # a passive wire: sign(I) = sign(V), and the dip only takes current
+    # away from the ballistic current, 0 <= I / I_ballistic <= 1
+    cfg = validate(dataclasses.replace(
+        default_config(), temperature=T, modes=(Mode(bottom, coupled=True),)))
+    grid = [-2.0, -1.0, -0.5, -1e-6, 0.0, 1e-6, 0.5, 1.0, 2.0]
+    model = model_from_config(cfg, SpinOrientation.PARALLEL)
+    for V, p in zip(grid, iv_curve(cfg, grid).points):
+        ballistic, deficit = current_components(BiasPoint(
+            cfg.mu_source + V / 2, cfg.mu_source - V / 2, T), model)
+        assert p.I == ballistic - deficit
+        sign = (V > 0) - (V < 0)
+        assert (p.I > 0) - (p.I < 0) == sign
+        assert 0.0 <= sign * p.I <= sign * ballistic
+    report = readout_report(cfg)
+    assert 0.0 < report.I_parallel <= report.I_ballistic
