@@ -94,6 +94,12 @@ COMMANDS += [
                           "temperature=4", "--grid=-1:1:5"]),
     ("readout-1e150K", ["readout", "--set", "temperature=1e150"]),
 ]
+#: Bias windows 2.9e16 and 2.9e20 kT wide at 4 K, the far chemical potential
+#: below the subband bottom or far above E_res.
+COMMANDS += [
+    (f"readout-wide{name}-4K", ["readout", "--set", "temperature=4", "--set",
+                                f"V_sd={V}"])
+    for name, V in (("", "1e20"), ("-negative", "-1e20"), ("-1e16", "1e16"))]
 COMMANDS += [
     ("readout-1K-spin-down", ["readout", "--set", "temperature=1",
                               "--set", "dot_spin=Down"]),

@@ -23,7 +23,6 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
-from typing import Sequence
 
 from .constants import CONSTANTS, FERMI_TAIL_KT, rashba_beta
 
@@ -260,7 +259,7 @@ def load_file(path) -> DeviceConfig:
 
 
 def apply_overrides(config: DeviceConfig,
-                    overrides: Sequence[str]) -> DeviceConfig:
+                    overrides: list[str]) -> DeviceConfig:
     """Apply ``key=value`` overrides (dotted paths into the JSON form)."""
     d = to_dict(config)
     for item in overrides:

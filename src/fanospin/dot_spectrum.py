@@ -24,9 +24,9 @@ directly the energy an incoming wire electron must supply.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .constants import CONSTANTS
 from .config import (ConfigError, DeviceConfig, gamma_unresolved,
@@ -72,12 +72,7 @@ class MarginReport:
     ratio: float                 # splitting / Gamma
 
 
-class _State(NamedTuple):
-    energy: float
-    character: Character
-    sz: float
-    l1z: int
-    up_up: bool
+_State = namedtuple("_State", "energy character sz l1z up_up")
 
 
 def _states(e: float, J: float, beta: float) -> list[_State]:

@@ -29,7 +29,9 @@ share one row, and an I-V curve's dI/dV is the exact [G(mu_s) + G(mu_d)] /
   min(mu_lo, E_res) - 40 kT), max(mu_hi, E_res) + 40 kT], breakpoints
   graded geometrically (ratio 2) toward E_res from the scale Gamma and
   toward each chemical potential from the scale pi kT, so no panel is
-  wider than its distance to the nearest pole: exact to rounding.
+  wider than its distance to the nearest pole: exact to rounding at any
+  window width, but not at a mu whose offset mu - E_res rounds by more
+  than kT (mu = 0 at 1e-30 K), where the Fermi peak is lost.
 
 Only the graded rule computes with arrays, so numpy is imported there, on
 its first call: a curve or report whose rows are all sharp or closed runs
@@ -192,36 +194,34 @@ def _graded_rule(model: TransmissionModel, kT: float, windows, points):
     are dropped, so each row sees the panels of its one-row call and
     bincount sums them in the same order: a row equals that call bit for bit.
 
-    The Fermi factor, sinh(d) / (cosh(c) + cosh(d)) for a window of
-    half-width d and 1 / (2 + 2 cosh(c)) at a point (c the offset from the
-    centre, in units of kT), is scaled by e^-d, so nothing cancels.
+    The Fermi factor is numerator f(x_hi) f(-x_lo), f(x) = 1 / (1 + e^x),
+    x_mu = (E - mu) / kT, with numerator 1 - e^((mu_lo - mu_hi) / kT), or 1
+    at a point: each factor lies in [0, 1], so nothing cancels.
     """
     import numpy as np
 
     rows = ([(lo, hi, -math.expm1((lo - hi) / kT)) for lo, hi in windows]
-            + [(mu, mu, 1.0) for mu in points])     # numerator 1 - e^-2d
+            + [(mu, mu, 1.0) for mu in points])
     return np.concatenate([_graded_block(model, kT, rows[i:i + _BLOCK_ROWS])
                            for i in range(0, len(rows), _BLOCK_ROWS)])
 
 
 def _graded_block(model: TransmissionModel, kT: float, rows):
     """``_graded_rule`` on rows of (mu_lo, mu_hi, Fermi numerator), every
-    energy measured from E_res, so the nodes are eps = E - E_res."""
+    energy measured from E_res: nodes eps = E - E_res, e_mu = mu - E_res."""
     import numpy as np
 
     steps16, weights16 = _gauss_legendre()
     res, tail, pkT = model.resonance, FERMI_TAIL_KT * kT, math.pi * kT
     bottom = model.modes[model.coupled_index].bottom_energy - res.energy
-    # per row: its ends, E_res (0), its mu's; Fermi centre, d, 1 + e^-2d,
-    # numerator; a row whose window ends below the bottom stays empty
+    # per row: ends, E_res (0), mu's, numerator (empty below the bottom)
     table = []
     for lo, hi, numerator in rows:
         e_lo, e_hi = lo - res.energy, hi - res.energy
         stop = e_hi + tail
         table.append((max(bottom, min(e_lo, 0.0) - tail),
                       max(stop, tail) if stop > bottom else stop, 0.0, e_lo,
-                      e_hi, 0.5 * (e_lo + e_hi), 0.5 * (hi - lo),
-                      1.0 + math.exp((lo - hi) / kT), numerator))
+                      e_hi, numerator))
     table = np.array(table).T
     span = np.ptp(table[:5])    # from every ladder centre to every row end
     n = 1 + max(0, math.ceil(math.log2(span)
@@ -237,14 +237,14 @@ def _graded_block(model: TransmissionModel, kT: float, rows):
         width = edges[:, 1:] - edges[:, :-1]
         row, col = np.nonzero(width)
         width = width[row, col]
-        centre, d, scale = table[5:8].take(row, 1)
+        e_lo, e_hi = table[3:5].take(row, 1)
         eps = edges[row, col] + width * steps16         # (16, panels)
-        a = np.abs(eps - centre)
-        den = (eps * eps + res.Gamma * res.Gamma) * (
-            np.exp((a - d) / kT) + np.exp((a + d) / -kT) + scale)
+        den = ((eps * eps + res.Gamma * res.Gamma)
+               * (1.0 + np.exp((eps - e_hi) / kT))
+               * (1.0 + np.exp((e_lo - eps) / kT)))
     sums = np.bincount(row[None].repeat(16, 0).ravel(),
                        (weights16 * width / den).ravel(), len(rows))
-    return sums * (res.Gamma * res.Gamma * (1.0 - abs(res.q) ** 2)) * table[8]
+    return sums * (res.Gamma * res.Gamma * (1.0 - abs(res.q) ** 2)) * table[5]
 
 
 def _integrals(model: TransmissionModel, kT: float, biases, mus):

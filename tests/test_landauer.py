@@ -800,6 +800,63 @@ def test_zero_mu_at_1e_300_K_stays_on_the_graded_rule():
     assert math.isfinite(deficit) and math.isfinite(G)
 
 
+def _window_reference(model, kT, lo, hi):
+    """The unit-weight deficit of the window (lo, hi) over E > bottom, by
+    50-digit mpmath quadrature on [max(bottom, lo - 60 kT), hi + 60 kT],
+    panels graded by 8 from E_res (scale Gamma) and each mu (scale kT)."""
+    res = model.resonance
+    bottom = model.modes[model.coupled_index].bottom_energy
+    with mpmath.workdps(50):
+        kT_ = mpmath.mpf(kT)
+
+        def f(E, mu):
+            return 1 / (1 + mpmath.exp((E - mu) / kT_))
+
+        def integrand(E):
+            return (res.Gamma ** 2 / ((E - res.energy) ** 2 + res.Gamma ** 2)
+                    * (f(E, hi) - f(E, lo)))
+
+        a = max(mpmath.mpf(bottom), lo - 60 * kT_)
+        b = hi + 60 * kT_
+        pts = {a, b} | {mpmath.mpf(c) + sign * s * 8 ** k
+                        for c, s in ((res.energy, res.Gamma), (lo, kT),
+                                     (hi, kT))
+                        for k in range(-1, 170) for sign in (0, -1, 1)}
+        pts = sorted(p for p in pts if a <= p <= b)
+        return float((1 - abs(res.q) ** 2)
+                     * mpmath.quad(integrand, pts, method="gauss-legendre"))
+
+
+@pytest.mark.parametrize("width", [1e2, 1e8, 1e14, 1e16, 1e20, 1e150])
+@pytest.mark.parametrize("far", ["below the bottom", "above E_res"])
+def test_graded_rule_keeps_wide_windows(width, far):
+    # the default device at 4 K, a window ``width`` kT wide from mu = E_res
+    # to a chemical potential far below the bottom or far above E_res: each
+    # Fermi factor lies in [0, 1], so nothing cancels however wide
+    kT = thermal_energy(4.0)
+    model = model_from_config(default_config(), SpinOrientation.PARALLEL)
+    mu = model.resonance.energy
+    lo, hi = ((mu - width * kT, mu) if far == "below the bottom"
+              else (mu, mu + width * kT))
+    (got,) = landauer._graded_rule(model, kT, [(lo, hi)], [])
+    reference = _window_reference(model, kT, lo, hi)
+    assert abs(got - reference) <= 1e-13 * reference
+
+
+@pytest.mark.parametrize("V", [1e20, -1e20, 1e16])
+def test_wide_bias_readout_matches_mpmath(V):
+    # mu_drain = mu_source - V, 2.9e16 to 2.9e20 kT from mu_source at 4 K
+    cfg = validate(dataclasses.replace(default_config(), temperature=4.0,
+                                       V_sd=V))
+    report = readout_report(cfg)
+    model = model_from_config(cfg, SpinOrientation.PARALLEL)
+    lo, hi = sorted((cfg.mu_source, cfg.mu_source - V))
+    reference = math.copysign(CURRENT_PER_MEV * _window_reference(
+        model, thermal_energy(4.0), lo, hi), V)
+    assert abs(report.delta_I_parallel - reference) <= 1e-13 * abs(reference)
+    assert report.delta_I_antiparallel == report.delta_I_parallel / 2
+
+
 # --- The ballistic window --------------------------------------------------
 
 def _open_width_reference(lo, hi, bottom, kT):
