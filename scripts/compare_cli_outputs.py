@@ -100,6 +100,13 @@ COMMANDS += [
     (f"readout-wide{name}-4K", ["readout", "--set", "temperature=4", "--set",
                                 f"V_sd={V}"])
     for name, V in (("", "1e20"), ("-negative", "-1e20"), ("-1e16", "1e16"))]
+#: A resonance far outside every window, whose graded rows end where the
+#: Fermi factor rounds to 0, and a dense T = 0 curve.
+COMMANDS += [
+    ("iv-far-resonance-4K", ["iv", "--set", "eps1=1e6", "--set",
+                             "temperature=4"]),
+    ("iv-0K-dense", ["iv", "--set", "temperature=0", "--grid=-2:2:20001"]),
+]
 COMMANDS += [
     ("readout-1K-spin-down", ["readout", "--set", "temperature=1",
                               "--set", "dot_spin=Down"]),

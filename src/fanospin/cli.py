@@ -66,7 +66,7 @@ EXIT_CANTCREAT = 73
 #: for, checked before any grid is built: the largest round count at which
 #: every subcommand stays within 1 GiB.  At this count a finite-T ``iv``
 #: (0.1 K, default device, closed rows) peaked at 746 MiB, a T = 0 ``iv`` at
-#: 519 MiB, a three-mode ``sweep`` at 58 MiB and ``oracle`` at 171 MiB.
+#: 427 MiB, a three-mode ``sweep`` at 58 MiB and ``oracle`` at 171 MiB.
 MAX_POINTS = 1_000_000
 
 
@@ -213,8 +213,8 @@ def _run_iv(cfg: DeviceConfig, args, out: Path) -> dict:
     _write_csv(path,
                ["V_mV", "I_A_parallel", "I_A_antiparallel",
                 "G_S_parallel", "G_S_antiparallel"],
-               ((p.V_sd, p.I, a.I, p.G_diff, a.G_diff)
-                for p, a in zip(curve_par.points, curve_anti.points)))
+               zip(curve_par.V_sd, curve_par.I, curve_anti.I,
+                   curve_par.G_diff, curve_anti.G_diff))
     return {"outputs": [path], "paths": paths}
 
 

@@ -4,8 +4,8 @@ I = (e/h) * sum_i integral dE T_i(E) [f_s(E) - f_d(E)], spin-polarized
 prefactor e/h (no factor 2).  Ballistic mode contributions have a closed
 form.  The current deficit carved out by the Fano dip is scaled by the
 spin-channel weight, so the antiparallel deficit is half the parallel one
-to machine precision.  At T = 0 the deficit is the closed form
-``fano.dip_integral``.
+to machine precision.  At kT = 0 a bias window is one ``_sharp_window``
+call (the open widths and ``fano.dip_integral``), and a point G0 T(mu).
 
 At T > 0 every deficit and every dip share of the linear conductance is a
 row, evaluated on one of three paths.  A row depends only on its sorted
@@ -14,8 +14,8 @@ share one row, and an I-V curve's dI/dV is the exact [G(mu_s) + G(mu_d)] /
 2.  Each row is its own computation, so a curve point equals its own
 ``current`` and ``linear_conductance`` calls bit for bit.
 
-- Sharp: where every mu +- 40 kT rounds to mu (T = 0 K included), the T = 0
-  closed forms are exact, not a small-T limit.
+- Sharp: where every mu +- 40 kT rounds to mu, the T = 0 closed forms are
+  exact, not a small-T limit.
 - Digamma: where the row's lowest mu lies at least 40 kT above the coupled
   subband bottom, the Fermi-window integral of the Lorentzian dip over the
   whole line is closed.  Its poles are E_res + i Gamma and the Matsubara
@@ -25,24 +25,24 @@ share one row, and an I-V curve's dI/dV is the exact [G(mu_s) + G(mu_d)] /
   (Abramowitz and Stegun 6.3.5, 6.3.18, 6.4.12), on floats, unless Gamma
   << 2 pi kT with E_res far outside the window, where it loses digits.
 - Graded: every other row is a row of one ``_graded_rule`` call:
-  composite 16-point Gauss-Legendre in E - E_res on [max(bottom,
-  min(mu_lo, E_res) - 40 kT), max(mu_hi, E_res) + 40 kT], breakpoints
-  graded geometrically (ratio 2) toward E_res from the scale Gamma and
-  toward each chemical potential from the scale pi kT, so no panel is
-  wider than its distance to the nearest pole: exact to rounding at any
-  window width, but not at a mu whose offset mu - E_res rounds by more
-  than kT (mu = 0 at 1e-30 K), where the Fermi peak is lost.
+  composite 16-point Gauss-Legendre in E - E_res on the row's span,
+  breakpoints graded geometrically (ratio 2) toward E_res from the scale
+  Gamma and toward each chemical potential from the scale pi kT, so no
+  panel is wider than its distance to the nearest pole: exact to rounding
+  at any window width, but not at a mu whose offset mu - E_res rounds by
+  more than kT (mu = 0 at 1e-30 K), where the Fermi peak is lost.
 
 Only the graded rule computes with arrays, so numpy is imported there, on
 its first call: a curve or report whose rows are all sharp or closed runs
 on floats alone.  While ``ROW_PATHS`` holds a dict, each row adds one to
-the count of its path.
+the count of its path, a kT = 0 window or point to "sharp".
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cache
@@ -61,7 +61,7 @@ _BLOCK_ROWS = 128
 #: The row paths the ``ROW_PATHS`` collector counts.
 PATHS = ("sharp", "digamma", "graded")
 
-#: A dict of row counts per path, which ``_integrals`` adds to while set.
+#: A dict of row counts per path, which the rows add to while set.
 ROW_PATHS: ContextVar[dict | None] = ContextVar("ROW_PATHS", default=None)
 
 #: psi(w) - ln w + u/2 for |w| >= 10, u = 1/w, as a polynomial in v = u^2,
@@ -91,23 +91,20 @@ def _gauss_legendre():
     return (nodes[:, None] + 1) / 2, weights[:, None] / 2
 
 
-@dataclass(frozen=True, slots=True)
-class BiasPoint:
-    mu_source: float     # meV
-    mu_drain: float      # meV
-    temperature: float   # K
-
-
-@dataclass(frozen=True, slots=True)
-class IVPoint:
-    V_sd: float   # mV
-    I: float      # A
-    G_diff: float # S
+BiasPoint = namedtuple("BiasPoint", "mu_source mu_drain temperature")  # meV, K
+IVPoint = namedtuple("IVPoint", "V_sd I G_diff")    # mV, A, S
 
 
 @dataclass(frozen=True, slots=True)
 class IVCurve:
-    points: tuple[IVPoint, ...]
+    """Columns of floats, one entry per bias: V_sd, I and G_diff; ``points``
+    builds one ``IVPoint`` per bias on each access."""
+    V_sd: tuple[float, ...]
+    I: tuple[float, ...]
+    G_diff: tuple[float, ...]
+    @property
+    def points(self) -> tuple[IVPoint, ...]:
+        return tuple(map(IVPoint, self.V_sd, self.I, self.G_diff))
 
 
 def _open_width(lo: float, hi: float, bottom: float, kT: float) -> float:
@@ -126,6 +123,22 @@ def _open_width(lo: float, hi: float, bottom: float, kT: float) -> float:
     else:
         g = math.expm1(dx) / (1.0 + math.exp(y))
     return kT * math.log1p(g)
+
+
+def _sharp_window(model: TransmissionModel, lo: float, hi: float):
+    """(ballistic current in A, unit-weight deficit in meV) of [lo, hi] at
+    T = 0, one sharp row; lo > hi gives 0.0 - those of [hi, lo] (+0.0)."""
+    if lo > hi:
+        ballistic, deficit = _sharp_window(model, hi, lo)
+        return 0.0 - ballistic, 0.0 - deficit
+    if (paths := ROW_PATHS.get()) is not None:
+        paths["sharp"] += 1
+    ballistic, bottom = 0.0, model.modes[model.coupled_index].bottom_energy
+    for edge, _ in model.lineshape[4]:
+        ballistic += hi - (lo if lo > edge else edge) if hi > edge else 0.0
+    lo = lo if lo > bottom else bottom  # no dip below the subband
+    return (CURRENT_PER_MEV * ballistic,
+            dip_integral(model.resonance, lo, hi) if lo < hi else 0.0)
 
 
 def _shift(x: float, y: float) -> int:
@@ -185,14 +198,15 @@ def _graded_rule(model: TransmissionModel, kT: float, windows, points):
     of (1 - T_fano) kT (-df/dE).
 
     A row spans [max(bottom, min(mu_lo, E_res) - 40 kT), max(mu_hi, E_res)
-    + 40 kT], so it reaches a dip narrower than kT outside the window, and
-    is empty where mu_hi + 40 kT lies at or below the bottom.  Its
-    breakpoints are its ends and E_res +- Gamma 2^k, mu +- pi kT 2^k for
-    k < n, clipped to the row.  n comes from the widest span of a block
-    of ``_BLOCK_ROWS`` rows, which bounds the memory of a long call; the
-    steps past a row's own reach clip onto its ends, and zero-width panels
-    are dropped, so each row sees the panels of its one-row call and
-    bincount sums them in the same order: a row equals that call bit for bit.
+    + 40 kT], so it reaches a dip narrower than kT outside the window, cut
+    746 kT outside [mu_lo, mu_hi], where the Fermi factor is 0, and empty
+    where mu_hi + 40 kT lies at or below the bottom.  Its breakpoints are
+    its ends and E_res +- Gamma 2^k, mu +- pi kT 2^k for k < n, clipped to
+    the row.  n comes from the widest span of a block of ``_BLOCK_ROWS``
+    rows, which bounds the memory of a long call; the steps past a row's
+    own reach clip onto its ends, and zero-width panels are dropped, so
+    each row sees the panels of its one-row call and bincount sums them in
+    the same order: a row equals that call bit for bit.
 
     The Fermi factor is numerator f(x_hi) f(-x_lo), f(x) = 1 / (1 + e^x),
     x_mu = (E - mu) / kT, with numerator 1 - e^((mu_lo - mu_hi) / kT), or 1
@@ -213,15 +227,16 @@ def _graded_block(model: TransmissionModel, kT: float, rows):
 
     steps16, weights16 = _gauss_legendre()
     res, tail, pkT = model.resonance, FERMI_TAIL_KT * kT, math.pi * kT
+    reach = 746 * kT    # e^-746 rounds to 0, and so does the Fermi factor
     bottom = model.modes[model.coupled_index].bottom_energy - res.energy
     # per row: ends, E_res (0), mu's, numerator (empty below the bottom)
     table = []
     for lo, hi, numerator in rows:
         e_lo, e_hi = lo - res.energy, hi - res.energy
         stop = e_hi + tail
-        table.append((max(bottom, min(e_lo, 0.0) - tail),
-                      max(stop, tail) if stop > bottom else stop, 0.0, e_lo,
-                      e_hi, numerator))
+        table.append((max(bottom, min(e_lo, 0.0) - tail, e_lo - reach),
+                      min(max(stop, tail), e_hi + reach) if stop > bottom
+                      else stop, 0.0, e_lo, e_hi, numerator))
     table = np.array(table).T
     span = np.ptp(table[:5])    # from every ladder centre to every row end
     n = 1 + max(0, math.ceil(math.log2(span)
@@ -250,20 +265,19 @@ def _graded_block(model: TransmissionModel, kT: float, rows):
 def _integrals(model: TransmissionModel, kT: float, biases, mus):
     """(ballistic current in A, unit-weight deficit in meV) of each bias,
     signed like it, and dip share of G / G0 at each mu (None if sharp:
-    G = G0 T(mu)).
+    G = G0 T(mu)), for kT > 0.
 
     Each distinct sorted window (+V and -V share one) is evaluated once,
     its ballistic current next to its deficit, and so is each mu, as one
-    row on one of three paths: a sharp row in the T = 0 closed form; a row
-    whose lowest mu lies at least 40 kT above the coupled subband bottom in
-    the digamma closed form where ``_digamma_slope`` takes it; every other
-    row as a row of one ``_graded_rule`` call.  A row is sharp at kT = 0 or
-    where each of its mu +- 40 kT rounds to mu.  -V takes the ballistic
-    current 0.0 - I(+V) and the deficit 0.0 - D(+V), so a zero stays +0.0."""
+    row on one of three paths: a sharp row, where each of its mu +- 40 kT
+    rounds to mu, in the T = 0 closed form ``_sharp_window``; a row whose
+    lowest mu lies at least 40 kT above the coupled subband bottom in the
+    digamma closed form where ``_digamma_slope`` takes it; every other row
+    as a row of one ``_graded_rule`` call.  -V takes the ballistic current
+    0.0 - I(+V) and the deficit 0.0 - D(+V), so a zero stays +0.0."""
     res = model.resonance
     bottom = model.modes[model.coupled_index].bottom_energy
-    if kT:
-        tail, scale = FERMI_TAIL_KT * kT, (1.0 - abs(res.q) ** 2) * res.Gamma
+    tail, scale = FERMI_TAIL_KT * kT, (1.0 - abs(res.q) ** 2) * res.Gamma
     windows, pairs = {}, []
     rows = {}   # each graded window -> its biases' (index, negative)s
     sharp = digamma = 0
@@ -272,16 +286,9 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
         window = lo, hi = ((b.mu_source, b.mu_drain) if negative
                            else (b.mu_drain, b.mu_source))
         if window not in windows:
-            if kT == 0 or (lo - tail == lo == lo + tail
-                           and hi - tail == hi == hi + tail):
-                sharp += 1
-                ballistic = 0.0
-                for edge, _ in model.lineshape[4]:
-                    ballistic += (hi - (lo if lo > edge else edge)
-                                  if hi > edge else 0.0)
-                ballistic *= CURRENT_PER_MEV
-                lo = lo if lo > bottom else bottom  # no dip below the subband
-                deficit = dip_integral(res, lo, hi) if lo < hi else 0.0
+            if (lo - tail == lo == lo + tail
+                    and hi - tail == hi == hi + tail):
+                ballistic, deficit = _sharp_window(model, lo, hi)
                 windows[window] = ballistic, deficit, 0.0 - deficit
             else:
                 ballistic = CURRENT_PER_MEV * sum([
@@ -303,7 +310,7 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
     dips, points = [], []   # points: each graded mu's index in dips
     for mu in mus:
         dip = None
-        if kT == 0 or mu - tail == mu == mu + tail:
+        if mu - tail == mu == mu + tail:
             sharp += 1
         elif mu - tail >= bottom and (
                 slope := _digamma_slope(res, kT, mu, mu)) is not None:
@@ -312,8 +319,7 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
         else:
             points.append(len(dips))
         dips.append(dip)
-    paths = ROW_PATHS.get()
-    if paths is not None:
+    if (paths := ROW_PATHS.get()) is not None:
         paths["sharp"] += sharp
         paths["digamma"] += digamma
         paths["graded"] += len(rows) + len(points)
@@ -346,26 +352,30 @@ def current_components(bias: BiasPoint, model: TransmissionModel,
                        *mus: float) -> tuple[float, ...]:
     """(ballistic current, dip deficit) in A, I = ballistic - deficit,
     then the ``linear_conductance`` in S at each of ``mus`` at the bias
-    temperature, each equal to its own call bit for bit: the deficit and
-    the conductances are rows of one ``_integrals`` pass.
+    temperature, each equal to its own call bit for bit: at kT = 0 the
+    closed forms, else rows of one ``_integrals`` pass.
 
     The deficit is computed as its own integral (not by subtracting two
     currents), so weight scaling and the parallel/antiparallel ratio are
     exact.
     """
     kT = thermal_energy(bias.temperature)
+    if kT == 0:
+        I_ball, dip = _sharp_window(model, bias.mu_drain, bias.mu_source)
+        return (I_ball, model.weight * (CURRENT_PER_MEV * dip),
+                *[linear_conductance(model, 0.0, mu) for mu in mus])
     ((ballistic, deficit),), dips = _integrals(model, kT, [bias], mus)
-    parts = (ballistic, model.weight * (CURRENT_PER_MEV * deficit))
-    if mus:
-        parts += tuple(_conductance(model, kT, mu, dip)
-                       for mu, dip in zip(mus, dips))
-    return parts
+    return (ballistic, model.weight * (CURRENT_PER_MEV * deficit),
+            *[_conductance(model, kT, mu, dip) for mu, dip in zip(mus, dips)])
 
 
 def current(bias: BiasPoint, model: TransmissionModel) -> float:
     """Landauer current in amperes."""
-    ballistic, deficit = current_components(bias, model)
-    return ballistic - deficit
+    if thermal_energy(bias.temperature):
+        ballistic, deficit = current_components(bias, model)
+        return ballistic - deficit
+    I_ball, dip = _sharp_window(model, bias.mu_drain, bias.mu_source)
+    return I_ball - model.weight * (CURRENT_PER_MEV * dip)
 
 
 def linear_conductance(model: TransmissionModel, temperature: float,
@@ -375,6 +385,10 @@ def linear_conductance(model: TransmissionModel, temperature: float,
     as a digamma or graded row.  A k_B T below the float spacing at mu is a
     step."""
     kT = thermal_energy(temperature)
+    if kT == 0:
+        if (paths := ROW_PATHS.get()) is not None:
+            paths["sharp"] += 1
+        return G0 * total_transmission(mu, model)
     _, (dip,) = _integrals(model, kT, [], [mu])
     return _conductance(model, kT, mu, dip)
 
@@ -397,12 +411,12 @@ def model_from_config(config: DeviceConfig,
 
 
 def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
-    """The ``iv_curve`` of each model.  At T = 0: a ``current`` call per
-    nonzero bias, and G_diff = (G0 T(mu_s) + G0 T(mu_d)) / 2 from two
-    ``total_transmission`` calls.  At T > 0: one ``_integrals`` pass, a
+    """The ``iv_curve`` of each model, as columns.  At kT = 0: a ``current``
+    call per nonzero bias, and G_diff = (G0 T(mu_s) + G0 T(mu_d)) / 2 from
+    two ``total_transmission`` calls.  At T > 0: one ``_integrals`` pass, a
     deficit row per distinct nonzero-bias window and a dip row per distinct
     mu (sharp, digamma or graded), and G once at each distinct mu."""
-    V_grid = list(V_grid)
+    V_grid = tuple(map(float, V_grid))     # the curves' shared V_sd column
     if not V_grid or any(b <= a for a, b in zip(V_grid, V_grid[1:])):
         raise ValueError("bias grid must be nonempty and strictly increasing")
     mu0, T = config.mu_source, config.temperature
@@ -415,10 +429,9 @@ def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
                     + G0 * total_transmission(b.mu_drain, m)) / 2
                    for b in biases] for m in models]
         if (paths := ROW_PATHS.get()) is not None:
-            paths["sharp"] += len({mu for b in biases
-                                   for mu in (b.mu_source, b.mu_drain)})
+            paths["sharp"] += len({mu for b in biases for mu in b[:2]})
     else:
-        mus = sorted({mu for b in biases for mu in (b.mu_source, b.mu_drain)})
+        mus = sorted({mu for b in biases for mu in b[:2]})
         moving = [b for V, b in zip(V_grid, biases) if V]
         pairs, dips = _integrals(models[0], kT, moving, mus)
         pairs = iter(pairs)
@@ -429,10 +442,8 @@ def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
                             for mu, dip in zip(mus, dips)))) for m in models)
         G_diff = [[(g[b.mu_source] + g[b.mu_drain]) / 2 for b in biases]
                   for g in G]     # one model's G held at a time
-    return tuple(IVCurve(points=tuple(
-        IVPoint(V_sd=float(V), I=float(i), G_diff=float(g))
-        for V, i, g in zip(V_grid, I, dIdV)))
-        for I, dIdV in zip(currents, G_diff))
+    return tuple(IVCurve(V_grid, tuple(I), tuple(dIdV))
+                 for I, dIdV in zip(currents, G_diff))
 
 
 def iv_curve(config: DeviceConfig, V_grid) -> IVCurve:

@@ -148,6 +148,74 @@ def test_sharp_window_is_exact_and_warning_free():
                     assert I == current(BiasPoint(s, d, 0.0), m)
 
 
+@st.composite
+def sharp_cases(draw):
+    """A model of 1-3 modes, the coupled one anywhere among them, and a
+    bias whose chemical potentials lie across, below or above the bottoms,
+    or on one, each at least 1e-200 meV from 0 so that 40 kT at 1e-300 K
+    rounds away; a zero-width window too."""
+    bottoms = draw(st.lists(st.floats(-20, 20), min_size=1, max_size=3))
+    coupled = draw(st.integers(0, len(bottoms) - 1))
+    model = TransmissionModel(
+        ResonanceSpec(draw(st.floats(-20, 20)),
+                      draw(st.floats(-3, 1).map(lambda k: 10.0 ** k)),
+                      complex(0.0, draw(st.floats(0, 0.99)))),
+        draw(st.sampled_from(SpinOrientation)),
+        tuple(Mode(b, coupled=i == coupled) for i, b in enumerate(bottoms)))
+    mu = st.one_of(st.floats(-30, 30), st.sampled_from(bottoms),
+                   st.tuples(st.sampled_from(bottoms), st.floats(-1, 1))
+                   .map(sum))
+    s = draw(mu.filter(lambda x: abs(x) >= 1e-200))
+    d = draw(st.one_of(st.just(s), mu.filter(lambda x: abs(x) >= 1e-200)))
+    return model, s, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sharp_cases())
+def test_zero_T_closed_forms_equal_the_sharp_rows(case):
+    # at kT = 0 the closed forms run directly; at 1e-300 K the same rows
+    # are sharp by rounding and run through ``_integrals``
+    model, s, d = case
+    got = {}
+    for T in (0.0, 1e-300):
+        bias = BiasPoint(s, d, T)
+        got[T] = _row_paths(lambda: (
+            current(bias, model), linear_conductance(model, T, s),
+            linear_conductance(model, T, d),
+            current_components(bias, model, s)))
+    (values, paths), (slow, slow_paths) = got[0.0], got[1e-300]
+    flat = lambda v: [x.hex() for x in v[:3] + v[3]]
+    assert flat(values) == flat(slow)
+    assert paths == slow_paths == dict(dict.fromkeys(landauer.PATHS, 0),
+                                       sharp=5)
+    assert values[0] == -current(BiasPoint(d, s, 0.0), model)
+
+
+def test_zero_T_enters_no_integrals_pass(monkeypatch):
+    cfg = validate(dataclasses.replace(default_config(), temperature=0.0))
+    expected = (iv_curves(cfg, [-1.0, 0.0, 1.0]), readout_report(cfg))
+
+    def refuse(*args):
+        raise AssertionError("_integrals entered at kT = 0")
+
+    monkeypatch.setattr(landauer, "_integrals", refuse)
+    assert (iv_curves(cfg, [-1.0, 0.0, 1.0]), readout_report(cfg)) == expected
+    model = model_from_config(cfg)
+    assert math.isfinite(linear_conductance(model, 0.0, cfg.mu_source))
+
+
+def test_iv_curve_points_round_trip_the_columns():
+    cfg = validate(dataclasses.replace(default_config(), temperature=0.0))
+    curve = iv_curve(cfg, [-1, 0.0, 0.5, 2])
+    assert curve.V_sd == (-1.0, 0.0, 0.5, 2.0)
+    assert all(type(x) is float for x in curve.V_sd + curve.I + curve.G_diff)
+    points = curve.points
+    assert all(type(p) is landauer.IVPoint for p in points)
+    assert points == tuple(zip(curve.V_sd, curve.I, curve.G_diff))
+    assert [p.I for p in points] == list(curve.I)
+    assert landauer.IVCurve(*zip(*points)) == curve
+
+
 def test_conductance_below_float_resolution_is_a_step():
     # k_B T = 9e-302 meV moves no energy near 9.6 meV: -df/dE is a delta
     m = make_model(E0=9.5, Gamma=0.2, bottom=0.0)
@@ -182,9 +250,9 @@ def test_iv_curve_single_zero_point():
 
 
 def test_curve_records_have_no_instance_dict():
-    # a million-point curve holds these records; slots keep them small
+    # a million-point curve: named tuples and a slotted column record
     for record in (BiasPoint(1.0, 0.0, 0.0), landauer.IVPoint(1.0, 0.0, 0.0),
-                   landauer.IVCurve(points=())):
+                   landauer.IVCurve((), (), ())):
         assert not hasattr(record, "__dict__"), type(record).__name__
 
 
