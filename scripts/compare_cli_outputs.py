@@ -107,6 +107,18 @@ COMMANDS += [
                              "temperature=4"]),
     ("iv-0K-dense", ["iv", "--set", "temperature=0", "--grid=-2:2:20001"]),
 ]
+#: Point rows at 1e-30 K, far below the float spacing at mu - E_res: mu = 0
+#: on the default subband bottom, and mu on a bottom moved to 6.5 meV; and
+#: a zero-width bias window at 4 K.
+COMMANDS += [
+    ("iv-mu0-1e-30K", ["iv", "--set", "mu_source=0", "--set",
+                       "temperature=1e-30", "--grid=-1:1:3"]),
+    ("iv-bottom-on-mu-1e-30K", ["iv", "--set", "mu_source=6.5", "--set",
+                                "modes.0.bottom_energy=6.5", "--set",
+                                "temperature=1e-30", "--grid=-1:1:3"]),
+    ("readout-zero-bias-4K", ["readout", "--set", "temperature=4", "--set",
+                              "V_sd=0"]),
+]
 COMMANDS += [
     ("readout-1K-spin-down", ["readout", "--set", "temperature=1",
                               "--set", "dot_spin=Down"]),
@@ -188,7 +200,8 @@ def file_difference(a: bytes, b: bytes) -> str:
                                           and math.isfinite(v)):
             return f"text cell {x!r} vs {y!r}"
         count += 1
-        worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+        scale = max(abs(u), abs(v))     # 0 where only a zero's sign differs
+        worst = max(worst, abs(u - v) / scale if scale else 0.0)
     return f"{count} numeric cells differ, max relative difference {worst:.3g}"
 
 

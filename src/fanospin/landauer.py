@@ -14,8 +14,8 @@ share one row, and an I-V curve's dI/dV is the exact [G(mu_s) + G(mu_d)] /
 2.  Each row is its own computation, so a curve point equals its own
 ``current`` and ``linear_conductance`` calls bit for bit.
 
-- Sharp: where every mu +- 40 kT rounds to mu, the T = 0 closed forms are
-  exact, not a small-T limit.
+- Sharp: at a zero-width window, or where every mu +- 40 kT rounds to mu
+  and no point is on a subband bottom, the T = 0 closed forms are exact.
 - Digamma: where the row's lowest mu lies at least 40 kT above the coupled
   subband bottom, the Fermi-window integral of the Lorentzian dip over the
   whole line is closed.  Its poles are E_res + i Gamma and the Matsubara
@@ -25,12 +25,10 @@ share one row, and an I-V curve's dI/dV is the exact [G(mu_s) + G(mu_d)] /
   (Abramowitz and Stegun 6.3.5, 6.3.18, 6.4.12), on floats, unless Gamma
   << 2 pi kT with E_res far outside the window, where it loses digits.
 - Graded: every other row is a row of one ``_graded_rule`` call:
-  composite 16-point Gauss-Legendre in E - E_res on the row's span,
-  breakpoints graded geometrically (ratio 2) toward E_res from the scale
-  Gamma and toward each chemical potential from the scale pi kT, so no
-  panel is wider than its distance to the nearest pole: exact to rounding
-  at any window width, but not at a mu whose offset mu - E_res rounds by
-  more than kT (mu = 0 at 1e-30 K), where the Fermi peak is lost.
+  composite 16-point Gauss-Legendre on one piece of the row per centre
+  (E_res, mu_lo, mu_hi), graded geometrically (ratio 2) toward it and
+  measured from it, so no panel is wider than its distance to the nearest
+  pole: exact to rounding at any window width and chemical potential.
 
 Only the graded rule computes with arrays, so numpy is imported there, on
 its first call: a curve or report whose rows are all sharp or closed runs
@@ -83,12 +81,11 @@ _Z_MAX = 1e150
 
 @cache
 def _gauss_legendre():
-    """16-point Gauss-Legendre node offsets and weights on a panel of unit
-    width, as columns."""
+    """16-point Gauss-Legendre node offsets and weights on a unit panel."""
     import numpy as np
 
     nodes, weights = np.polynomial.legendre.leggauss(16)
-    return (nodes[:, None] + 1) / 2, weights[:, None] / 2
+    return (nodes + 1) / 2, weights / 2
 
 
 BiasPoint = namedtuple("BiasPoint", "mu_source mu_drain temperature")  # meV, K
@@ -200,13 +197,13 @@ def _graded_rule(model: TransmissionModel, kT: float, windows, points):
     A row spans [max(bottom, min(mu_lo, E_res) - 40 kT), max(mu_hi, E_res)
     + 40 kT], so it reaches a dip narrower than kT outside the window, cut
     746 kT outside [mu_lo, mu_hi], where the Fermi factor is 0, and empty
-    where mu_hi + 40 kT lies at or below the bottom.  Its breakpoints are
-    its ends and E_res +- Gamma 2^k, mu +- pi kT 2^k for k < n, clipped to
-    the row.  n comes from the widest span of a block of ``_BLOCK_ROWS``
-    rows, which bounds the memory of a long call; the steps past a row's
-    own reach clip onto its ends, and zero-width panels are dropped, so
-    each row sees the panels of its one-row call and bincount sums them in
-    the same order: a row equals that call bit for bit.
+    where mu_hi + 40 kT lies at or below the bottom.  Cut halfway between
+    its sorted centres E_res, mu_lo and mu_hi, each piece has breakpoints
+    c, c +- 2^k min(Gamma, pi kT) (k < n) about its centre c, clipped to its
+    ends.  n comes from the widest piece of a block of ``_BLOCK_ROWS`` rows
+    (which bounds a long call's memory); steps past a piece's ends clip to
+    zero width and are dropped, so each row sees the panels of its one-row
+    call and bincount sums them in the same order: bit for bit.
 
     The Fermi factor is numerator f(x_hi) f(-x_lo), f(x) = 1 / (1 + e^x),
     x_mu = (E - mu) / kT, with numerator 1 - e^((mu_lo - mu_hi) / kT), or 1
@@ -221,45 +218,50 @@ def _graded_rule(model: TransmissionModel, kT: float, windows, points):
 
 
 def _graded_block(model: TransmissionModel, kT: float, rows):
-    """``_graded_rule`` on rows of (mu_lo, mu_hi, Fermi numerator), every
-    energy measured from E_res: nodes eps = E - E_res, e_mu = mu - E_res."""
+    """``_graded_rule`` on rows of (mu_lo, mu_hi, Fermi numerator); nodes
+    are offsets o from their piece's centre c, poles at E_res - c, mu - c."""
     import numpy as np
 
     steps16, weights16 = _gauss_legendre()
-    res, tail, pkT = model.resonance, FERMI_TAIL_KT * kT, math.pi * kT
-    reach = 746 * kT    # e^-746 rounds to 0, and so does the Fermi factor
-    bottom = model.modes[model.coupled_index].bottom_energy - res.energy
-    # per row: ends, E_res (0), mu's, numerator (empty below the bottom)
-    table = []
-    for lo, hi, numerator in rows:
-        e_lo, e_hi = lo - res.energy, hi - res.energy
-        stop = e_hi + tail
-        table.append((max(bottom, min(e_lo, 0.0) - tail, e_lo - reach),
-                      min(max(stop, tail), e_hi + reach) if stop > bottom
-                      else stop, 0.0, e_lo, e_hi, numerator))
-    table = np.array(table).T
-    span = np.ptp(table[:5])    # from every ladder centre to every row end
-    n = 1 + max(0, math.ceil(math.log2(span)
-                             - math.log2(min(res.Gamma, pkT))))
-    with np.errstate(over="ignore"):    # inf steps clip; e^inf gives f = 0
-        steps = np.ldexp(np.array(((-res.Gamma, res.Gamma), (-pkT, pkT),
-                                   (-pkT, pkT)))[:, None],
-                         np.arange(n)[:, None])             # (3, n, 2)
-        ladder = (table[2:5].T[..., None, None] + steps).reshape(len(rows), -1)
-        edges = np.concatenate((table[:5].T, ladder), 1)
-        edges = np.sort(np.minimum(np.maximum(edges, table[0, :, None]),
-                                   table[1, :, None]), axis=1)
-        width = edges[:, 1:] - edges[:, :-1]
-        row, col = np.nonzero(width)
-        width = width[row, col]
-        e_lo, e_hi = table[3:5].take(row, 1)
-        eps = edges[row, col] + width * steps16         # (16, panels)
+    res, tail, reach = model.resonance, FERMI_TAIL_KT * kT, 746 * kT
+    E_res, scale = res.energy, min(res.Gamma, math.pi * kT)
+    bottom = model.modes[model.coupled_index].bottom_energy
+    table, extent = [], scale   # per piece: ends, E_res, mu_lo, mu_hi; row
+    for i, (lo, hi, _) in enumerate(rows):
+        if (hi - bottom) + tail <= 0:
+            continue    # the row lies below the bottom, and is 0
+        c0, c1, c2 = ((E_res, lo, hi) if E_res < lo else
+                      (lo, hi, E_res) if E_res > hi else (lo, E_res, hi))
+        h0, h1 = (c1 - c0) / 2, (c2 - c1) / 2
+        for c, a, b in ((c0, -tail, h0), (c1, -h0, h1), (c2, -h1, tail)):
+            # bottom and reach in c's frame; max() calls would cost more
+            a = x if (x := bottom - c) > a else a
+            a = x if (x := (lo - c) - reach) > a else a
+            b = x if (x := (hi - c) + reach) < b else b
+            if a < b:
+                table += a, b, E_res - c, lo - c, hi - c, i
+                extent = max(extent, b, -a)
+    n = 1 + math.ceil(math.log2(extent) - math.log2(scale))
+    steps = np.ldexp(scale, np.arange(n))
+    ladder = np.concatenate(([-np.inf], -steps[::-1], [0], steps, [np.inf]))
+    table = np.array(table, float).reshape(-1, 6).T
+    lower, upper = table[:2, :, None]
+    edges = np.minimum(np.maximum(ladder, lower), upper)    # still sorted
+    width = edges[:, 1:] - edges[:, :-1]
+    piece, col = np.nonzero(width)
+    width = width[piece, col]
+    e_res, e_lo, e_hi, row = table[2:].take(piece, 1)[..., None]
+    o = edges[piece, col][:, None] + width[:, None] * steps16  # (panels, 16)
+    with np.errstate(over="ignore"):                # e^inf gives f = 0
+        eps = o - e_res
         den = ((eps * eps + res.Gamma * res.Gamma)
-               * (1.0 + np.exp((eps - e_hi) / kT))
-               * (1.0 + np.exp((e_lo - eps) / kT)))
-    sums = np.bincount(row[None].repeat(16, 0).ravel(),
-                       (weights16 * width / den).ravel(), len(rows))
-    return sums * (res.Gamma * res.Gamma * (1.0 - abs(res.q) ** 2)) * table[5]
+               * (1.0 + np.exp((o - e_hi) / kT))
+               * (1.0 + np.exp((e_lo - o) / kT)))
+    # sum(1) adds a panel's 16 nodes in one order whatever the panel count
+    sums = np.bincount(row[:, 0].astype(np.intp),
+                       (weights16 / den).sum(1) * width, len(rows))
+    return (sums * (res.Gamma * res.Gamma * (1.0 - abs(res.q) ** 2))
+            * np.array(rows)[:, 2])     # the Fermi numerators
 
 
 def _integrals(model: TransmissionModel, kT: float, biases, mus):
@@ -269,14 +271,16 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
 
     Each distinct sorted window (+V and -V share one) is evaluated once,
     its ballistic current next to its deficit, and so is each mu, as one
-    row on one of three paths: a sharp row, where each of its mu +- 40 kT
-    rounds to mu, in the T = 0 closed form ``_sharp_window``; a row whose
-    lowest mu lies at least 40 kT above the coupled subband bottom in the
-    digamma closed form where ``_digamma_slope`` takes it; every other row
-    as a row of one ``_graded_rule`` call.  -V takes the ballistic current
-    0.0 - I(+V) and the deficit 0.0 - D(+V), so a zero stays +0.0."""
+    row on one of three paths: sharp (zero width, or each mu +- 40 kT
+    rounds to mu and no point is on a subband bottom) in the T = 0 closed
+    form ``_sharp_window``; a row whose lowest mu lies at least 40 kT above
+    the coupled subband bottom in the digamma closed form where
+    ``_digamma_slope`` takes it; every other row as a row of one
+    ``_graded_rule`` call.  -V takes the ballistic current 0.0 - I(+V) and
+    the deficit 0.0 - D(+V), so a zero stays +0.0."""
     res = model.resonance
-    bottom = model.modes[model.coupled_index].bottom_energy
+    bottoms = [m.bottom_energy for m in model.modes]
+    bottom = bottoms[model.coupled_index]
     tail, scale = FERMI_TAIL_KT * kT, (1.0 - abs(res.q) ** 2) * res.Gamma
     windows, pairs = {}, []
     rows = {}   # each graded window -> its biases' (index, negative)s
@@ -286,16 +290,15 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
         window = lo, hi = ((b.mu_source, b.mu_drain) if negative
                            else (b.mu_drain, b.mu_source))
         if window not in windows:
-            if (lo - tail == lo == lo + tail
-                    and hi - tail == hi == hi + tail):
+            if lo == hi or (lo - tail == lo == lo + tail
+                            and hi - tail == hi == hi + tail):
                 ballistic, deficit = _sharp_window(model, lo, hi)
                 windows[window] = ballistic, deficit, 0.0 - deficit
             else:
                 ballistic = CURRENT_PER_MEV * sum([
-                    _open_width(lo, hi, m.bottom_energy, kT)
-                    for m in model.modes])
+                    _open_width(lo, hi, b, kT) for b in bottoms])
                 slope = (_digamma_slope(res, kT, lo, hi)
-                         if lo - tail >= bottom else None)
+                         if lo - bottom >= tail else None)
                 if slope is None:
                     windows[window] = ballistic, None, None
                 else:
@@ -310,9 +313,9 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
     dips, points = [], []   # points: each graded mu's index in dips
     for mu in mus:
         dip = None
-        if mu - tail == mu == mu + tail:
+        if mu - tail == mu == mu + tail and mu not in bottoms:
             sharp += 1
-        elif mu - tail >= bottom and (
+        elif mu - bottom >= tail and (
                 slope := _digamma_slope(res, kT, mu, mu)) is not None:
             digamma += 1
             dip = scale / (2 * math.pi) * slope / kT
@@ -382,8 +385,8 @@ def linear_conductance(model: TransmissionModel, temperature: float,
                        mu: float) -> float:
     """dI/dV at V = 0, in S, exactly: G0 T(mu) at T = 0, else
     G0 [sum_m f(bottom_m) - w integral_bottom^inf (1 - T_fano)(-df/dE) dE]
-    as a digamma or graded row.  A k_B T below the float spacing at mu is a
-    step."""
+    as a digamma or graded row; a step where k_B T is below the float
+    spacing at mu, unless mu lies on a subband bottom."""
     kT = thermal_energy(temperature)
     if kT == 0:
         if (paths := ROW_PATHS.get()) is not None:

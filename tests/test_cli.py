@@ -601,6 +601,20 @@ def test_negative_bias_zero_deficit_reads_positive_zero(tmp_path, overrides):
         assert math.copysign(1.0, report[key]) == 1.0 and report[key] == 0.0
 
 
+@pytest.mark.parametrize("T", ["0", "0.1", "4", "40"])
+def test_zero_bias_readout_deltas_read_positive_zero(tmp_path, T):
+    # V_sd = 0 is a zero-width window: a sharp row, whose deficit is +0.0
+    # at every temperature; the conductance row keeps its own path
+    rc, err = _run("readout", ["V_sd=0", f"temperature={T}"], tmp_path)
+    assert rc == 0, err
+    report = json.loads((tmp_path / "readout.json").read_text())
+    for key in ("delta_I_parallel_A", "delta_I_antiparallel_A"):
+        assert math.copysign(1.0, report[key]) == 1.0 and report[key] == 0.0
+    paths = json.loads((tmp_path / "manifest.json").read_text())["paths"]
+    assert paths["sharp"] == (2 if T == "0" else 1)
+    assert sum(paths.values()) == 2
+
+
 @pytest.mark.parametrize("args, flag", [
     (["--eps-d", "nan"], "--eps-d"), (["--eps-d=-inf"], "--eps-d"),
     (["--points", "0"], "--points"), (["--points", "-3"], "--points"),

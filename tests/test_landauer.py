@@ -11,7 +11,8 @@ from fanospin.cli import main
 from fanospin.config import DeviceConfig, Mode, Spin, default_config, validate
 from fanospin.constants import CONSTANTS, CURRENT_PER_MEV, thermal_energy
 from fanospin.dot_spectrum import ResonanceSpec
-from fanospin.fano import SpinOrientation, TransmissionModel, dip_integral
+from fanospin.fano import (SpinOrientation, TransmissionModel, dip_integral,
+                          mode_transmission, total_transmission)
 from fanospin.landauer import (BiasPoint, current, current_components,
                                iv_curve, iv_curves, linear_conductance,
                                model_from_config, optimal_bias)
@@ -174,7 +175,9 @@ def sharp_cases(draw):
 @given(case=sharp_cases())
 def test_zero_T_closed_forms_equal_the_sharp_rows(case):
     # at kT = 0 the closed forms run directly; at 1e-300 K the same rows
-    # are sharp by rounding and run through ``_integrals``
+    # are sharp by rounding and run through ``_integrals``, except a point
+    # on a subband bottom, which is never sharp: it takes the one-sided
+    # limit, each mode with its bottom there at half its transmission
     model, s, d = case
     got = {}
     for T in (0.0, 1e-300):
@@ -184,10 +187,21 @@ def test_zero_T_closed_forms_equal_the_sharp_rows(case):
             linear_conductance(model, T, d),
             current_components(bias, model, s)))
     (values, paths), (slow, slow_paths) = got[0.0], got[1e-300]
-    flat = lambda v: [x.hex() for x in v[:3] + v[3]]
-    assert flat(values) == flat(slow)
-    assert paths == slow_paths == dict(dict.fromkeys(landauer.PATHS, 0),
-                                       sharp=5)
+    bottoms = [m.bottom_energy for m in model.modes]
+    flat = lambda v: v[:3] + v[3]
+    for mu, fast, got_slow in zip((None, s, d, None, None, s), flat(values),
+                                  flat(slow)):
+        if mu in bottoms:
+            limit = G0 * sum(
+                mode_transmission(mu, model, i) / (2 if b == mu else 1)
+                for i, b in enumerate(bottoms))
+            assert got_slow == pytest.approx(limit, rel=1e-12,
+                                             abs=1e-14 * G0)
+        else:
+            assert got_slow.hex() == fast.hex()
+    assert paths == dict(dict.fromkeys(landauer.PATHS, 0), sharp=5)
+    assert sum(slow_paths.values()) == 5
+    assert slow_paths["sharp"] == 5 - sum(mu in bottoms for mu in (s, d, s))
     assert values[0] == -current(BiasPoint(d, s, 0.0), model)
 
 
@@ -302,6 +316,16 @@ def test_graded_rule_blocks_change_no_row(monkeypatch, block):
 
 #: T = 0, a temperature whose k_B T is below every float spacing, and
 #: 0.1-100 K.
+def test_graded_rule_one_panel_row_equals_its_block_row():
+    # a point on E_res 25 kT below the bottom has one panel, above the
+    # bottom; its 16 nodes add up in the same order alone as in a block
+    model = make_model(E0=7.25, Gamma=1.0, bottom=9.4375)
+    kT = thermal_energy(1.0)
+    (alone,) = landauer._graded_rule(model, kT, [], [7.25]).tolist()
+    block = landauer._graded_rule(model, kT, [(7.0, 7.5)], [6.0, 7.25, 8.0])
+    assert block.tolist()[2] == alone
+
+
 iv_temperatures = st.one_of(st.sampled_from([0.0, 1e-300]),
                             st.floats(-1, 2).map(lambda k: 10.0 ** k))
 
@@ -836,11 +860,17 @@ def test_split_domain_rows_count_as_graded():
 
 @pytest.mark.parametrize("T", [0.1, 4.0, 40.0])
 def test_rows_take_the_closed_form_exactly_40_kT_clear(T):
-    # the bottom at mu_lo - 40 kT takes the closed form, one ulp closer
-    # the graded rule; each agrees with the other to rounding
+    # the highest bottom with mu_lo - bottom >= 40 kT takes the closed
+    # form, one ulp higher the graded rule; each agrees with the other to
+    # rounding
     kT = thermal_energy(T)
     lo, hi = 7.0, 7.5
-    edge = lo - landauer.FERMI_TAIL_KT * kT
+    tail = landauer.FERMI_TAIL_KT * kT
+    edge = lo - tail
+    while lo - edge < tail:
+        edge = math.nextafter(edge, -math.inf)
+    while lo - math.nextafter(edge, math.inf) >= tail:
+        edge = math.nextafter(edge, math.inf)
     rows = {}
     for bottom, path in ((edge, "digamma"),
                          (math.nextafter(edge, math.inf), "graded")):
@@ -856,7 +886,8 @@ def test_rows_take_the_closed_form_exactly_40_kT_clear(T):
 
 def test_zero_mu_at_1e_300_K_stays_on_the_graded_rule():
     # mu = 0 meV is never sharp; at 1e-300 K its |z| ~ 1e301 is beyond the
-    # closed form's range, so the row keeps the graded rule's finite value
+    # closed form's range, so the row keeps the graded rule's value, the
+    # limit G0 T(0)
     model = make_model(E0=7.25, Gamma=1.0, bottom=-1000.0)
     kT = thermal_energy(1e-300)
     (ballistic, deficit, G), paths = _row_paths(
@@ -866,23 +897,82 @@ def test_zero_mu_at_1e_300_K_stays_on_the_graded_rule():
     assert deficit == CURRENT_PER_MEV * window
     assert G == landauer._conductance(model, kT, 0.0, point / kT)
     assert math.isfinite(deficit) and math.isfinite(G)
+    assert G == pytest.approx(G0 * total_transmission(0.0, model), rel=1e-14)
 
 
-def _window_reference(model, kT, lo, hi):
-    """The unit-weight deficit of the window (lo, hi) over E > bottom, by
-    50-digit mpmath quadrature on [max(bottom, lo - 60 kT), hi + 60 kT],
-    panels graded by 8 from E_res (scale Gamma) and each mu (scale kT)."""
+@pytest.mark.parametrize("T", [1e-30, 1e-300])
+@pytest.mark.parametrize("mu, bottom", [
+    (0.0, -1000.0), (1e-300, -1000.0), (-1e-300, -1000.0), (5e-301, -1000.0),
+    (0.0, 0.0), (6.5, 6.5)])                    # the last two on the bottom
+def test_point_rows_keep_their_fermi_peak_at_any_mu(T, mu, bottom):
+    # k_B T far below the float spacing at mu - E_res: each graded piece is
+    # measured from its own centre, so the Fermi peak at mu keeps its
+    # digits and G is G0 T(mu), or on the bottom its one-sided limit
+    model = make_model(E0=7.25, Gamma=1.0, bottom=bottom)
+    limit = G0 * total_transmission(mu, model) / (2 if mu == bottom else 1)
+    assert linear_conductance(model, T, mu) == pytest.approx(limit,
+                                                             rel=1e-14)
+
+
+def test_graded_rule_keeps_a_point_row_far_from_the_resonance():
+    # eps1 = 1e6 meV at 4 K puts E_res 3e6 kT above mu_source; the point
+    # row's nodes, measured from mu, do not round to ulp(1e6) = 1.2e-10 meV
+    cfg = validate(dataclasses.replace(default_config(), eps1=1e6,
+                                       temperature=4.0))
+    model = model_from_config(cfg, SpinOrientation.PARALLEL)
+    kT = thermal_energy(4.0)
+    mu = cfg.mu_source
+    (got,) = landauer._graded_rule(model, kT, [], [mu])
+    reference = _row_reference(model, kT, mu, mu)
+    assert abs(got - reference) <= 1e-15 * reference
+
+
+@settings(max_examples=40, deadline=None)
+@given(T=st.floats(-1, math.log10(50)).map(lambda k: 10.0 ** k),
+       ratio=st.floats(-4, 3).map(lambda k: 10.0 ** k),
+       q=st.floats(0, 0.99),
+       offset=st.floats(-60, 60) | st.floats(2, 6).map(lambda k: 10.0 ** k)
+       | st.floats(2, 6).map(lambda k: -10.0 ** k),
+       width=st.just(0.0) | st.floats(-9, 2).map(lambda k: 10.0 ** k),
+       clearance=st.floats(-5, 40) | st.just(1000.0))
+@example(T=4.0, ratio=0.3, q=0.0, offset=-1e6, width=0.0, clearance=21.0)
+@example(T=4.0, ratio=0.3, q=0.0, offset=-1e6, width=1.0, clearance=21.0)
+def test_graded_rows_match_mpmath(T, ratio, q, offset, width, clearance):
+    # a window of width kT * width (a point at 0) centred kT * offset from
+    # E_res, its lowest mu kT * clearance above the bottom (below it where
+    # negative), Gamma = kT * ratio: nearby bottoms, resonances near and
+    # far; at the far ones E - E_res rounds by far more than 1e-14 kT
+    kT = thermal_energy(T)
+    E_res = 7.25
+    lo = E_res + kT * (offset - width / 2)
+    hi = lo + kT * width
+    model = make_model(E0=E_res, Gamma=kT * ratio, q=complex(0, q),
+                       bottom=lo - kT * clearance)
+    (got,) = landauer._graded_rule(model, kT, [(lo, hi)] if width else [],
+                                   [] if width else [lo])
+    reference = _row_reference(model, kT, lo, hi)
+    assert abs(got - reference) <= 1e-14 * abs(reference)
+
+
+def _row_reference(model, kT, lo, hi):
+    """The graded row of the window (lo, hi), or of the point lo == hi, over
+    E > bottom: (1 - |q|^2) integral of L(E) n f(x_hi) f(-x_lo), n = 1 -
+    e^((lo - hi) / kT) (1 at a point), by mpmath quadrature on [max(bottom,
+    lo - 60 kT), hi + 60 kT], panels graded by 8 from E_res (scale Gamma)
+    and each mu (scale kT)."""
     res = model.resonance
     bottom = model.modes[model.coupled_index].bottom_energy
     with mpmath.workdps(50):
         kT_ = mpmath.mpf(kT)
+        numerator = (1 if lo == hi
+                     else -mpmath.expm1((mpmath.mpf(lo) - hi) / kT_))
 
-        def f(E, mu):
-            return 1 / (1 + mpmath.exp((E - mu) / kT_))
+        def f(x):
+            return 1 / (1 + mpmath.exp(x))
 
         def integrand(E):
             return (res.Gamma ** 2 / ((E - res.energy) ** 2 + res.Gamma ** 2)
-                    * (f(E, hi) - f(E, lo)))
+                    * f((E - hi) / kT_) * f((lo - E) / kT_))
 
         a = max(mpmath.mpf(bottom), lo - 60 * kT_)
         b = hi + 60 * kT_
@@ -891,7 +981,7 @@ def _window_reference(model, kT, lo, hi):
                                      (hi, kT))
                         for k in range(-1, 170) for sign in (0, -1, 1)}
         pts = sorted(p for p in pts if a <= p <= b)
-        return float((1 - abs(res.q) ** 2)
+        return float((1 - abs(res.q) ** 2) * numerator
                      * mpmath.quad(integrand, pts, method="gauss-legendre"))
 
 
@@ -907,7 +997,7 @@ def test_graded_rule_keeps_wide_windows(width, far):
     lo, hi = ((mu - width * kT, mu) if far == "below the bottom"
               else (mu, mu + width * kT))
     (got,) = landauer._graded_rule(model, kT, [(lo, hi)], [])
-    reference = _window_reference(model, kT, lo, hi)
+    reference = _row_reference(model, kT, lo, hi)
     assert abs(got - reference) <= 1e-13 * reference
 
 
@@ -919,7 +1009,7 @@ def test_wide_bias_readout_matches_mpmath(V):
     report = readout_report(cfg)
     model = model_from_config(cfg, SpinOrientation.PARALLEL)
     lo, hi = sorted((cfg.mu_source, cfg.mu_source - V))
-    reference = math.copysign(CURRENT_PER_MEV * _window_reference(
+    reference = math.copysign(CURRENT_PER_MEV * _row_reference(
         model, thermal_energy(4.0), lo, hi), V)
     assert abs(report.delta_I_parallel - reference) <= 1e-13 * abs(reference)
     assert report.delta_I_antiparallel == report.delta_I_parallel / 2
