@@ -119,8 +119,13 @@ COMMANDS += [
     ("readout-zero-bias-4K", ["readout", "--set", "temperature=4", "--set",
                               "V_sd=0"]),
 ]
+#: Asymmetric grids, where +-V share only some windows: the 1 K rows clear
+#: the subband bottom by 40 kT, the 4 and 40 K rows are graded.
+COMMANDS += [(f"iv-asymmetric-{_T}K", ["iv", "--set", f"temperature={_T}",
+                                       "--grid=-1:3:9"])
+             for _T in ("1", "4", "40")]
 COMMANDS += [
-    ("readout-1K-spin-down", ["readout", "--set", "temperature=1",
+    ("readout-1K-spin-down",["readout", "--set", "temperature=1",
                               "--set", "dot_spin=Down"]),
     ("iv-1K-grid-wide", ["iv", "--set", "temperature=1",
                          "--grid=-20:20:41"]),

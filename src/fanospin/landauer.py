@@ -269,47 +269,35 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
     signed like it, and dip share of G / G0 at each mu (None if sharp:
     G = G0 T(mu)), for kT > 0.
 
-    Each distinct sorted window (+V and -V share one) is evaluated once,
-    its ballistic current next to its deficit, and so is each mu, as one
-    row on one of three paths: sharp (zero width, or each mu +- 40 kT
-    rounds to mu and no point is on a subband bottom) in the T = 0 closed
-    form ``_sharp_window``; a row whose lowest mu lies at least 40 kT above
-    the coupled subband bottom in the digamma closed form where
-    ``_digamma_slope`` takes it; every other row as a row of one
-    ``_graded_rule`` call.  -V takes the ballistic current 0.0 - I(+V) and
-    the deficit 0.0 - D(+V), so a zero stays +0.0."""
+    One table maps each distinct sorted window (lo, hi), which +V and -V
+    share, to its [ballistic, deficit]: each window and each mu is one row
+    on one of three paths.  Sharp (zero width, or each mu +- 40 kT rounds to
+    mu and no point is on a subband bottom): the T = 0 closed form
+    ``_sharp_window``.  Digamma: a row whose lowest mu lies at least 40 kT
+    above the coupled subband bottom, where ``_digamma_slope`` takes it.
+    Graded: every other row, as a row of one ``_graded_rule`` call, which
+    fills its deficit in.  A bias with mu_source < mu_drain reads its
+    window's pair as 0.0 - each, so a zero stays +0.0."""
     res = model.resonance
     bottoms = [m.bottom_energy for m in model.modes]
     bottom = bottoms[model.coupled_index]
     tail, scale = FERMI_TAIL_KT * kT, (1.0 - abs(res.q) ** 2) * res.Gamma
-    windows, pairs = {}, []
-    rows = {}   # each graded window -> its biases' (index, negative)s
-    sharp = digamma = 0
-    for i, b in enumerate(biases):
-        negative = b.mu_source < b.mu_drain
-        window = lo, hi = ((b.mu_source, b.mu_drain) if negative
-                           else (b.mu_drain, b.mu_source))
-        if window not in windows:
-            if lo == hi or (lo - tail == lo == lo + tail
-                            and hi - tail == hi == hi + tail):
-                ballistic, deficit = _sharp_window(model, lo, hi)
-                windows[window] = ballistic, deficit, 0.0 - deficit
-            else:
-                ballistic = CURRENT_PER_MEV * sum([
-                    _open_width(lo, hi, b, kT) for b in bottoms])
-                slope = (_digamma_slope(res, kT, lo, hi)
-                         if lo - bottom >= tail else None)
-                if slope is None:
-                    windows[window] = ballistic, None, None
-                else:
-                    digamma += 1
-                    deficit = scale * ((hi - lo) / (2 * math.pi * kT)) * slope
-                    windows[window] = ballistic, deficit, 0.0 - deficit
-        ballistic, plus, minus = windows[window]
-        if plus is None:
-            rows.setdefault(window, []).append((i, negative))
-        pairs.append((0.0 - ballistic, minus) if negative
-                     else (ballistic, plus))
+    windows = dict.fromkeys((s, d) if s < d else (d, s) for s, d, _ in biases)
+    graded, sharp, digamma = [], 0, 0   # graded: the windows still to fill
+    for lo, hi in windows:
+        if lo == hi or (lo - tail == lo == lo + tail
+                        and hi - tail == hi == hi + tail):
+            windows[lo, hi] = list(_sharp_window(model, lo, hi))
+            continue
+        deficit = None
+        if lo - bottom >= tail and (
+                slope := _digamma_slope(res, kT, lo, hi)) is not None:
+            digamma += 1
+            deficit = scale * ((hi - lo) / (2 * math.pi * kT)) * slope
+        else:
+            graded.append((lo, hi))
+        windows[lo, hi] = [CURRENT_PER_MEV * sum([
+            _open_width(lo, hi, b, kT) for b in bottoms]), deficit]
     dips, points = [], []   # points: each graded mu's index in dips
     for mu in mus:
         dip = None
@@ -325,17 +313,16 @@ def _integrals(model: TransmissionModel, kT: float, biases, mus):
     if (paths := ROW_PATHS.get()) is not None:
         paths["sharp"] += sharp
         paths["digamma"] += digamma
-        paths["graded"] += len(rows) + len(points)
-    if not (rows or points):
-        return pairs, dips
-    graded = _graded_rule(model, kT, list(rows),
-                          [mus[j] for j in points]).tolist()
-    for deficit, biases_of_row in zip(graded, rows.values()):
-        for i, negative in biases_of_row:
-            pairs[i] = pairs[i][0], 0.0 - deficit if negative else deficit
-    for j, dip in zip(points, graded[len(rows):]):
-        dips[j] = dip / kT
-    return pairs, dips
+        paths["graded"] += len(graded) + len(points)
+    if graded or points:
+        rows = _graded_rule(model, kT, graded,
+                            [mus[j] for j in points]).tolist()
+        for window, deficit in zip(graded, rows):
+            windows[window][1] = deficit
+        for j, dip in zip(points, rows[len(graded):]):
+            dips[j] = dip / kT
+    return [windows[d, s] if s >= d else [0.0 - x for x in windows[s, d]]
+            for s, d, _ in biases], dips
 
 
 def _conductance(model: TransmissionModel, kT: float, mu: float,

@@ -884,6 +884,60 @@ def test_rows_take_the_closed_form_exactly_40_kT_clear(T):
     assert closed_dip == pytest.approx(graded_dip, rel=1e-13)
 
 
+@st.composite
+def _integrals_calls(draw):
+    """(model, T, biases, mus) for one ``_integrals`` call: E_res 7.25 meV
+    over a bottom at 0, 6.5, 7.0 or -1000 meV, at 1e-300 to 40 K, and a
+    shuffled bias list with repeats, +-V pairs, zero-width windows and
+    chemical potentials on the bottom."""
+    bottom = draw(st.sampled_from([0.0, 6.5, 7.0, -1000.0]))
+    T = draw(st.sampled_from([1e-300, 0.1, 1.0, 4.0, 40.0]))
+    model = make_model(E0=7.25, Gamma=draw(st.sampled_from([1e-4, 0.3, 1.0])),
+                       q=draw(st.sampled_from([0j, 0.5j])), bottom=bottom)
+    mu = st.sampled_from([bottom, 0.0, 6.5, 7.0, 7.25, 7.5, 8.0]) | st.floats(
+        -2.0, 12.0)
+    windows = draw(st.lists(st.tuples(mu, mu), min_size=1, max_size=5))
+    biases = [BiasPoint(s, d, T) for s, d in windows]
+    biases += [BiasPoint(d, s, T)                               # -V
+               for s, d in draw(st.lists(st.sampled_from(windows),
+                                         max_size=4))]
+    biases += draw(st.lists(st.sampled_from(biases), max_size=3))  # repeats
+    biases += [BiasPoint(m, m, T) for m in draw(st.lists(mu, max_size=2))]
+    return model, T, draw(st.permutations(biases)), draw(st.lists(
+        mu, max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(call=_integrals_calls())
+@example(call=(make_model(E0=7.25, Gamma=1.0, bottom=0.0), 4.0,  # graded
+               [BiasPoint(7.5, 7.0, 4.0), BiasPoint(7.0, 7.5, 4.0),
+                BiasPoint(7.0, 7.0, 4.0), BiasPoint(7.5, 7.0, 4.0)],
+               [7.0, 0.0, 7.0]))
+@example(call=(make_model(E0=7.25, Gamma=1.0, bottom=0.0), 0.1,  # digamma
+               [BiasPoint(7.0, 7.5, 0.1), BiasPoint(7.5, 7.0, 0.1)],
+               [7.5, 7.25]))
+@example(call=(make_model(E0=7.25, Gamma=1.0, bottom=-1000.0), 1e-300,
+               [BiasPoint(7.5, 7.0, 1e-300), BiasPoint(0.0, 0.5, 1e-300)],
+               [7.0, 0.0]))                             # sharp and graded
+def test_integrals_rows_equal_their_own_calls(call):
+    # each distinct sorted window and each mu is one row, whatever else the
+    # call holds: each bias's pair equals its one-bias call and each dip
+    # its one-mu call bit for bit, and the rows counted add up
+    model, T, biases, mus = call
+    kT = thermal_energy(T)
+    (pairs, dips), paths = _row_paths(landauer._integrals, model, kT,
+                                      biases, mus)
+    windows = {tuple(sorted(b[:2])) for b in biases}
+    assert sum(paths.values()) == len(windows) + len(mus)
+    assert len(pairs) == len(biases) and len(dips) == len(mus)
+    for bias, pair in zip(biases, pairs):
+        ((alone,), _) = landauer._integrals(model, kT, [bias], [])
+        assert [x.hex() for x in pair] == [x.hex() for x in alone]
+    for mu, dip in zip(mus, dips):
+        _, (alone,) = landauer._integrals(model, kT, [], [mu])
+        assert (dip is None and alone is None) or dip.hex() == alone.hex()
+
+
 def test_zero_mu_at_1e_300_K_stays_on_the_graded_rule():
     # mu = 0 meV is never sharp; at 1e-300 K its |z| ~ 1e301 is beyond the
     # closed form's range, so the row keeps the graded rule's value, the
@@ -957,32 +1011,45 @@ def test_graded_rows_match_mpmath(T, ratio, q, offset, width, clearance):
 def _row_reference(model, kT, lo, hi):
     """The graded row of the window (lo, hi), or of the point lo == hi, over
     E > bottom: (1 - |q|^2) integral of L(E) n f(x_hi) f(-x_lo), n = 1 -
-    e^((lo - hi) / kT) (1 at a point), by mpmath quadrature on [max(bottom,
-    lo - 60 kT), hi + 60 kT], panels graded by 8 from E_res (scale Gamma)
-    and each mu (scale kT)."""
+    e^((lo - hi) / kT) (1 at a point), by mpmath quadrature in units of kT,
+    x = E / kT, times kT, so that a row of any size keeps its digits against
+    quad's absolute error control: on [max(bottom, lo - 60 kT), hi + 60 kT],
+    panels graded by 8 from E_res (scale Gamma) and each mu (scale kT)."""
     res = model.resonance
     bottom = model.modes[model.coupled_index].bottom_energy
     with mpmath.workdps(50):
         kT_ = mpmath.mpf(kT)
-        numerator = (1 if lo == hi
-                     else -mpmath.expm1((mpmath.mpf(lo) - hi) / kT_))
+        e_res, g, x_lo, x_hi, x_bottom = (mpmath.mpf(v) / kT_ for v in (
+            res.energy, res.Gamma, lo, hi, bottom))
+        numerator = 1 if lo == hi else -mpmath.expm1(x_lo - x_hi)
 
         def f(x):
             return 1 / (1 + mpmath.exp(x))
 
-        def integrand(E):
-            return (res.Gamma ** 2 / ((E - res.energy) ** 2 + res.Gamma ** 2)
-                    * f((E - hi) / kT_) * f((lo - E) / kT_))
+        def integrand(x):
+            return (g ** 2 / ((x - e_res) ** 2 + g ** 2)
+                    * f(x - x_hi) * f(x_lo - x))
 
-        a = max(mpmath.mpf(bottom), lo - 60 * kT_)
-        b = hi + 60 * kT_
-        pts = {a, b} | {mpmath.mpf(c) + sign * s * 8 ** k
-                        for c, s in ((res.energy, res.Gamma), (lo, kT),
-                                     (hi, kT))
+        a = max(x_bottom, x_lo - 60)
+        b = x_hi + 60
+        pts = {a, b} | {c + sign * s * mpmath.mpf(8) ** k
+                        for c, s in ((e_res, g), (x_lo, 1), (x_hi, 1))
                         for k in range(-1, 170) for sign in (0, -1, 1)}
         pts = sorted(p for p in pts if a <= p <= b)
-        return float((1 - abs(res.q) ** 2) * numerator
+        return float((1 - abs(res.q) ** 2) * numerator * kT_
                      * mpmath.quad(integrand, pts, method="gauss-legendre"))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1e-300), (0.0, 0.0)])
+def test_graded_rows_at_1e_300_K_match_mpmath(lo, hi):
+    # a window of 11,600 kT, and a point, on the bottom at 1e-300 K: rows
+    # of order 1e-302 and 1e-303 meV, which the kT-unit reference resolves
+    model = make_model(E0=7.25, Gamma=1.0, bottom=0.0)
+    kT = thermal_energy(1e-300)
+    (got,) = landauer._graded_rule(model, kT, [(lo, hi)] if hi > lo else [],
+                                   [] if hi > lo else [lo])
+    reference = _row_reference(model, kT, lo, hi)
+    assert abs(got - reference) <= 1e-15 * reference
 
 
 @pytest.mark.parametrize("width", [1e2, 1e8, 1e14, 1e16, 1e20, 1e150])
