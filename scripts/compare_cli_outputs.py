@@ -32,9 +32,11 @@ MODES3 = ('modes=[{"bottom_energy": 0.0, "coupled": true}, '
           '{"bottom_energy": 7.6, "coupled": false}]')
 
 #: (name, arguments before --out): defaults, explicit grids, T = 0, 1e-300,
-#: 0.1, 1, 4 and 40 K, one and three modes, q, oracle couplings, a subband
+#: 0.1, 1, 4 and 40 K, one and three modes, q, oracle couplings (among them
+#: a narrow flank near the band edge and an off-centre level), a subband
 #: bottom on a grid node or a window edge, and rejections exiting 1, 2, 64
-#: and 66.
+#: and 66 (among them oracle flanks cut by the band edge or never back up
+#: to T = 1/2).
 COMMANDS = [
     ("levels", ["levels"]),
     ("sweep", ["sweep"]),
@@ -53,6 +55,11 @@ COMMANDS = [
     ("oracle-points11", ["oracle", "--points", "11", "--window", "2"]),
     ("oracle-hopping", ["oracle", "--hopping-t", "500", "--coupling-tp",
                         "50"]),
+    ("oracle-narrow-flank", ["oracle", "--hopping-t", "600.1261934226221",
+                             "--eps-d", "389.07771161932703",
+                             "--coupling-tp", "630.3745380061459"]),
+    ("oracle-off-centre", ["oracle", "--eps-d", "1500", "--coupling-tp",
+                           "30"]),
 ]
 for _T in ("0", "1e-300", "0.1", "1", "4", "40"):
     COMMANDS += [(f"iv-{_T}K", ["iv", "--set", f"temperature={_T}"]),
@@ -134,6 +141,10 @@ COMMANDS += [
     ("reject-oracle-window", ["oracle", "--window", "0"]),
     ("reject-oracle-overflow", ["oracle", "--coupling-tp", "1e100",
                                 "--hopping-t", "1"]),
+    ("reject-oracle-edge-flank", ["oracle", "--eps-d", "-1999",
+                                  "--coupling-tp", "5"]),
+    ("reject-oracle-strong", ["oracle", "--hopping-t", "1", "--coupling-tp",
+                              "3"]),
     ("reject-usage", ["frobnicate"]),
     ("reject-no-subcommand", []),
     ("reject-missing-config", ["readout", "--config", "missing.json"]),

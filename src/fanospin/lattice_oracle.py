@@ -16,8 +16,9 @@ float or a numpy array and uses the real form
 d = E - eps_d, so ``compare_to_fano`` evaluates both lineshapes once on its
 whole grid.
 
-The dip minimum is eps_d exactly and its half-depth points are roots of a
-quartic, so the oracle needs no optimiser and no bracketing search.
+The dip minimum is eps_d exactly and each half-depth point the one root in
+a bracket on its flank, both found on floats; numpy computes the arrays of
+``compare_to_fano``: its grid, both lineshapes on it, their deviation.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ class OracleLattice:
     coupling_tp: float      # wire <-> level hook, meV, >= 0
 
     def __post_init__(self):
-        if not (0 < self.hopping_t < np.inf and 0 <= self.coupling_tp < np.inf
-                and -np.inf < self.site_energy_eps_d < np.inf):
+        if not (0 < self.hopping_t < math.inf
+                and 0 <= self.coupling_tp < math.inf
+                and -math.inf < self.site_energy_eps_d < math.inf):
             raise ValueError(f"need finite hopping_t > 0, coupling_tp >= 0 "
                              f"and site_energy_eps_d: {self}")
 
@@ -88,51 +90,48 @@ def dip_minimum(lattice: OracleLattice) -> float:
     return eps_d
 
 
-def _horner(coefficients, x: float) -> float:
-    """The polynomial with ``coefficients`` (highest power first) at x, in
-    ``numpy.polyval``'s order of operations, on floats."""
-    y = 0.0
-    for c in coefficients:
-        y = y * x + c
-    return y
-
-
 def effective_broadening(lattice: OracleLattice) -> float:
     """Half-width at half depth of the oracle dip, mean of both sides.
 
-    T = 1/2 where sigma^2 = v^2, i.e. (E - eps_d)^2 (4 t^2 - E^2) = tp^4,
-    whose real roots all lie in the band.  In w = sigma / t (eta = eps_d / t,
-    p = tp / t) it reads w^4 - (4 - eta^2) w^2 + 2 eta p^2 w + p^4 = 0; the
-    roots next to the dip are the O(1) ones of largest |w| on each side, so
-    numpy.roots resolves them at any coupling.  Newton steps on the quartic
-    polish each; the half-width is tp^2 / (t |w|).  A side without a real
-    root (flank never back up to 1/2) raises ExtractionError, and so does a
-    tp/t whose quartic overflows or a width whose square underflows.  The
-    Newton steps run on floats (``_horner``), bit for bit ``numpy.polyval``.
+    In e = E/t, eta = eps_d/t and p = tp/t, T = 1/2 where h(e) = (e - eta)^2
+    (4 - e^2) = p^4.  On each side h rises from 0 at the dip to one maximum,
+    at e* = (eta +- sqrt(eta^2 + 32)) / 4, so a flank recovers to 1/2 exactly
+    when (d*/p)^2 (4 - e*^2) >= p^2, d* = |e* - eta| (else ExtractionError).
+    In u = t |E - eps_d| / tp^2 its point is the one root of u^2 (4 - e^2)
+    = 1, e = eta +- p^2 u, in the bracket (0, d*/p^2]: Newton steps from the
+    weak-coupling root 1/sqrt(4 - eta^2) (the peak if that root lies beyond
+    it), bisecting where a step leaves the bracket, until none lands inside.
+    The half-width is tp (tp/t) u; one whose square underflows (below
+    GAMMA_MIN) raises ExtractionError.
     """
     eps_d = dip_minimum(lattice)
     t, tp = lattice.hopping_t, lattice.coupling_tp
-    eta, p2 = eps_d / t, (tp / t) * (tp / t)
-    quartic = [1.0, 0.0, eta * eta - 4.0, 2.0 * eta * p2, p2 * p2]
-    if not all(map(math.isfinite, quartic)):
-        raise ExtractionError(
-            f"tp/t = {tp / t:g} overflows the half-width quartic")
-    slope = [4.0, 0.0, 2.0 * quartic[2], quartic[3]]    # numpy.polyder's
-    real = [float(r.real) for r in np.roots(quartic) if r.imag == 0]
-    widths = []
+    eta, p = eps_d / t, tp / t
+    p2, root, gamma = p * p, math.sqrt(eta * eta + 32.0), 0.0
     for side in (-1.0, 1.0):
-        w = max((r for r in real if side * r > 0), key=abs, default=None)
-        if w is None:
+        peak = (eta + side * root) / 4.0
+        reach = abs(peak - eta) * t / tp        # d*/p, also where p == 0
+        if not reach * reach * (2.0 - peak) * (2.0 + peak) >= p2:
             raise ExtractionError(
-                f"dip flank on the {'low' if side < 0 else 'high'}-energy "
-                f"side does not recover to T = 1/2 inside the band")
-        for _ in range(3):
-            w -= _horner(quartic, w) / _horner(slope, w)
-        widths.append(tp * (tp / t) / abs(w))
-    gamma = 0.5 * (widths[0] + widths[1])
+                f"{'low' if side < 0 else 'high'}-energy dip flank does not "
+                f"recover to T = 1/2 inside the band at tp/t = {p:g}")
+        lo, hi = 0.0, reach * t / tp                    # u at dip and peak
+        u = min(1.0 / math.sqrt((2.0 - eta) * (2.0 + eta)), hi)
+        while True:             # every u after the first inside (lo, hi)
+            e = eta + side * p2 * u
+            g = (2.0 - e) * (2.0 + e)
+            f = u * (u * g) - 1.0
+            lo, hi = (u, hi) if f < 0 else (lo, u)
+            slope = 2.0 * u * (g - side * e * p2 * u)
+            step = (u - f / slope if abs(f) < slope * (hi - lo)
+                    else 0.5 * (lo + hi))   # Newton only if it stays in
+            if not lo < step < hi:
+                break
+            u = step
+        gamma += tp * p * u / 2
     if gamma < GAMMA_MIN:
         raise ExtractionError(
-            f"Gamma_eff = {gamma:g} meV at tp/t = {tp / t:g} is too narrow: "
+            f"Gamma_eff = {gamma:g} meV at tp/t = {p:g} is too narrow: "
             f"its square underflows")
     return gamma
 
@@ -158,7 +157,7 @@ def compare_to_fano(lattice: OracleLattice,
     lo = max(E_min - half, -edge)
     hi = min(E_min + half, edge)
     step = (hi - lo) / max(n_points - 1, 1)
-    spacing = float(np.spacing(max(abs(lo), abs(hi))))
+    spacing = math.ulp(max(abs(lo), abs(hi)))
     if step < spacing:
         raise ExtractionError(
             f"Gamma_eff = {gamma:g} meV is not resolvable at {E_min:g} meV: "

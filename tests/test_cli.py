@@ -275,7 +275,10 @@ def test_oracle_half_width_below_former_bisection_tolerance(tmp_path):
     (["--coupling-tp", "1e100", "--hopping-t", "1"], "tp/t"),
     (["--coupling-tp", "1e-200"], "Gamma_eff"),
     (["--coupling-tp", "1e-6", "--eps-d", "300"], "Gamma_eff"),
-], ids=["quartic-overflows", "width-underflows", "width-below-float-spacing"])
+    (["--hopping-t", "1", "--coupling-tp", "3"], "tp/t"),
+    (["--hopping-t", "2", "--coupling-tp", "5e-324"], "Gamma_eff"),
+], ids=["quartic-overflows", "width-underflows", "width-below-float-spacing",
+        "flank-never-recovers", "coupling-ratio-underflows"])
 def test_oracle_unresolvable_dip_exits_2(tmp_path, capsys, args, needle):
     rc = main(["oracle", *args, "--out", str(tmp_path)])
     assert rc == 2

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fanospin.config import GAMMA_MIN
 from fanospin.fano import fano_transmission
 from fanospin.lattice_oracle import (BandEdgeError, ExtractionError,
                                      OracleLattice, compare_to_fano,
                                      dip_minimum, effective_broadening,
                                      oracle_transmission)
-from fanospin.lattice_oracle import _horner
 from reference import oracle_reflection, scattering_amplitudes
 
 
@@ -71,17 +71,53 @@ def test_symmetry_at_band_center(E, tp):
         oracle_transmission(-E, lat), abs=1e-12)
 
 
-@settings(max_examples=300, deadline=None)
-@given(coefficients=st.lists(st.floats(allow_nan=False), min_size=1,
-                             max_size=6),
-       x=st.floats(allow_nan=False))
-@example(coefficients=[1.0, 0.0, -4.0, 0.0, 0.25], x=-0.0)
-def test_horner_is_numpy_polyval(coefficients, x):
-    # the Newton steps of effective_broadening, bit for bit (repr tells the
-    # signed zeros apart, and reads every NaN alike)
-    with np.errstate(all="ignore"):
-        expected = float(np.polyval(coefficients, x))
-    assert repr(_horner(coefficients, x)) == repr(expected)
+def _mpmath_half_width(lat: OracleLattice):
+    """The mean of both flanks' u^2 (4 - e^2) = 1, e = eta +- p^2 u, times
+    tp^2 / t, by 50-digit bisection on [1/2, min(peak, 1e8)]; None where a
+    flank has no root there."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        t, tp = mpmath.mpf(lat.hopping_t), mpmath.mpf(lat.coupling_tp)
+        eta, p2 = mpmath.mpf(lat.site_energy_eps_d) / t, (tp / t) ** 2
+        roots = []
+        for side in (-1, 1):
+            def g(u):
+                return u * u * (4 - (eta + side * p2 * u) ** 2) - 1
+            # h(e) = (e - eta)^2 (4 - e^2) peaks where 2 e^2 - eta e = 4
+            peak = (eta + side * mpmath.sqrt(eta * eta + 32)) / 4
+            lo, hi = mpmath.mpf(0.5), min(abs(peak - eta) / p2,
+                                          mpmath.mpf(1e8))
+            if g(hi) < 0:
+                return None
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+            roots.append(lo)
+        return (roots[0] + roots[1]) / 2 * tp * tp / t
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.floats(1e-3, 1e6), exponent=st.floats(-200.0, math.log10(3.0)),
+       eta=st.floats(-1.99, 1.99))
+@example(t=1.0, exponent=-200.0, eta=0.0)       # p^2 underflows
+@example(t=600.1261934226221, exponent=math.log10(630.3745380061459
+                                                  / 600.1261934226221),
+         eta=389.07771161932703 / 600.1261934226221)    # narrow flank
+@example(t=1000.0, exponent=math.log10(0.05), eta=-1.99)  # band edge cuts
+@example(t=1.0, exponent=math.log10(3.0), eta=0.0)   # never recovers
+# either side of the strong-coupling bound tp = sqrt(2) t at eta = 0
+@example(t=1.0, exponent=math.log10(2 ** 0.5 * (1 - 1e-6)), eta=0.0)
+@example(t=1.0, exponent=math.log10(2 ** 0.5 * (1 + 1e-6)), eta=0.0)
+def test_effective_broadening_matches_mpmath(t, exponent, eta):
+    lat = OracleLattice(hopping_t=t, site_energy_eps_d=eta * t,
+                        coupling_tp=10.0 ** exponent * t)
+    exact = _mpmath_half_width(lat)
+    if exact is None or exact < GAMMA_MIN:
+        with pytest.raises(ExtractionError):
+            effective_broadening(lat)
+    else:
+        assert effective_broadening(lat) == pytest.approx(float(exact),
+                                                          rel=1e-13)
 
 
 def test_effective_broadening_weak_coupling_value():
