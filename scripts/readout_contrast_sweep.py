@@ -6,7 +6,6 @@ Writes contrast_vs_gamma.csv in the working directory.
 """
 
 import csv
-import dataclasses
 
 import numpy as np
 
@@ -18,8 +17,7 @@ base = default_config()
 
 rows = []
 for gamma in gammas:
-    cfg = validate(dataclasses.replace(base, Gamma=float(gamma),
-                                       V_sd=float(gamma)))
+    cfg = validate(base._replace(Gamma=float(gamma), V_sd=float(gamma)))
     rep = readout_report(cfg)
     rows.append((gamma, rep.I_parallel, rep.I_antiparallel, rep.contrast,
                  rep.relative_decrease_parallel))

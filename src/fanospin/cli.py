@@ -43,7 +43,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
@@ -146,7 +145,7 @@ def _run_sweep(cfg: DeviceConfig, args, out: Path) -> dict:
     from .landauer import model_from_config
 
     model_par = model_from_config(cfg, SpinOrientation.PARALLEL)
-    model_anti = replace(model_par, orientation=SpinOrientation.ANTIPARALLEL)
+    model_anti = model_par._replace(orientation=SpinOrientation.ANTIPARALLEL)
     res = model_par.resonance
     if args.grid:
         grid = _parse_grid(args.grid)

@@ -11,9 +11,10 @@ also be resolvable at the resonance (E_res +- Gamma != E_res), so every
 subcommand rejects the same configs, and each mode's ``coupled`` must be a
 JSON boolean.
 
-The JSON representation uses the field names as keys, so each key is
-declared once, by its field; the complex Fano factor ``q`` is stored as a
-two-element array ``[re, im]``.
+``Mode`` and ``DeviceConfig`` are named tuples, copied with a field changed
+by ``_replace``.  The JSON representation uses the field names as keys, so
+each key is declared once, by its field; the complex Fano factor ``q`` is
+stored as a two-element array ``[re, im]``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from collections import namedtuple
 from enum import Enum
 
 from .constants import CONSTANTS, FERMI_TAIL_KT, rashba_beta
@@ -55,28 +56,23 @@ class ExtractionError(RuntimeError):
     floating point cannot resolve."""
 
 
-@dataclass(frozen=True)
-class Mode:
-    """One transversal-quantization subband of the wire."""
-    bottom_energy: float        # subband bottom, meV
-    coupled: bool = False       # True for the single dot-coupled mode
+#: One transversal-quantization subband of the wire: its bottom_energy in
+#: meV, and coupled, True for the single dot-coupled mode.
+Mode = namedtuple("Mode", "bottom_energy coupled", defaults=(False,))
 
 
-@dataclass(frozen=True)
-class DeviceConfig:
-    eps1: float                 # excited level above the ground one, meV
-    U_C: float                  # direct Coulomb energy, meV
-    J: float                    # exchange strength, meV (signed)
-    Gamma: float                # level broadening, meV (> 0)
-    mu_source: float            # source chemical potential, meV
-    V_sd: float                 # source-drain bias, mV
-    temperature: float          # K
-    modes: tuple[Mode, ...]
-    beta: float | None = None   # spin-orbit coefficient, meV
-    alpha_R: float | None = None  # Rashba constant, meV nm
-    D: float | None = None      # dot diameter, nm
-    q: complex = 0j             # Fano asymmetry factor
-    dot_spin: Spin = Spin.UP    # the wire is polarized Up
+class DeviceConfig(namedtuple(
+        "DeviceConfig", "eps1 U_C J Gamma mu_source V_sd temperature modes "
+        "beta alpha_R D q dot_spin",
+        defaults=(None, None, None, 0j, Spin.UP))):
+    """The excited level eps1 above the ground one, the direct Coulomb
+    energy U_C, the signed exchange strength J and the level broadening
+    Gamma > 0 in meV; the source chemical potential mu_source in meV, the
+    source-drain bias V_sd in mV and the temperature in K; the tuple of
+    ``Mode``s; the spin-orbit coefficient beta in meV, or the Rashba
+    constant alpha_R in meV nm and the dot diameter D in nm; the Fano
+    asymmetry factor q; and the dot_spin (the wire is polarized Up)."""
+    __slots__ = ()
 
     @property
     def beta_value(self) -> float:
@@ -171,14 +167,14 @@ def validate(config: DeviceConfig) -> DeviceConfig:
 
     if errs:
         raise ConfigError(errs)
-    return replace(config, beta=beta)
+    return config._replace(beta=beta)
 
 
 # ---------------------------------------------------------------------------
 # JSON round trip: the keys are DeviceConfig's field names; a None field is
 # left out, and a field without a default is required.
 
-_FIELDS = fields(DeviceConfig)
+_FIELDS, _DEFAULTS = DeviceConfig._fields, DeviceConfig._field_defaults
 
 
 def _modes(raw) -> tuple[Mode, ...]:
@@ -203,7 +199,7 @@ def _q(raw) -> complex:
 
 #: JSON form of the fields that are not plain numbers, and its parsers
 #: (float for every other field).
-_ENCODE = {"modes": lambda modes: [dict(vars(m)) for m in modes],
+_ENCODE = {"modes": lambda modes: [m._asdict() for m in modes],
            "q": lambda q: [q.real, q.imag],
            "dot_spin": lambda spin: spin.value}
 _DECODE = {"modes": _modes, "q": _q, "dot_spin": Spin}
@@ -211,7 +207,7 @@ _DECODE = {"modes": _modes, "q": _q, "dot_spin": Spin}
 
 def to_dict(config: DeviceConfig) -> dict:
     return {k: _ENCODE[k](v) if k in _ENCODE else v
-            for k, v in vars(config).items() if v is not None}
+            for k, v in config._asdict().items() if v is not None}
 
 
 def from_dict(d: dict) -> DeviceConfig:
@@ -219,27 +215,26 @@ def from_dict(d: dict) -> DeviceConfig:
     if not isinstance(d, dict):
         raise ConfigError([f"config: expected a JSON object, got "
                            f"{type(d).__name__}"])
-    unknown = set(d) - {f.name for f in _FIELDS}
+    unknown = set(d) - set(_FIELDS)
     if unknown:
         raise ConfigError([f"{k}: unknown key" for k in sorted(unknown)])
-    missing = [f.name for f in _FIELDS
-               if f.default is MISSING and d.get(f.name) is None]
+    missing = [k for k in _FIELDS if k not in _DEFAULTS and d.get(k) is None]
     if missing:
         raise ConfigError([f"{k}: required" for k in missing])
     errs: list[str] = []
 
-    def parse(f):
-        raw = d.get(f.name)
+    def parse(key):
+        raw = d.get(key)
         if raw is None:
-            return f.default
+            return _DEFAULTS[key]
         try:
-            return _DECODE.get(f.name, float)(raw)
+            return _DECODE.get(key, float)(raw)
         except ConfigError as exc:      # already named by its key
             errs.extend(exc.violations)
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
-            errs.append(f"{f.name}: {exc}")
+            errs.append(f"{key}: {exc}")
 
-    values = {f.name: parse(f) for f in _FIELDS}
+    values = {key: parse(key) for key in _FIELDS}
     if errs:
         raise ConfigError(errs)
     return DeviceConfig(**values)

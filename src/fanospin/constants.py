@@ -8,15 +8,13 @@ Internal unit conventions:
     conductances    S
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    e: float = 1.602176634e-19          # elementary charge, C
-    h: float = 6.62607015e-34           # Planck constant, J s
-    k_B: float = 8.617333262e-2         # Boltzmann constant, meV/K
-    hbar: float = 6.582119569e-13       # reduced Planck constant, meV s
+class PhysicalConstants(namedtuple("PhysicalConstants", "e h k_B hbar")):
+    """Elementary charge e in C, Planck constant h in J s, Boltzmann
+    constant k_B in meV/K and reduced Planck constant hbar in meV s."""
+    __slots__ = ()
 
     @property
     def G0_spin_polarized(self) -> float:
@@ -24,7 +22,8 @@ class PhysicalConstants:
         return self.e**2 / self.h
 
 
-CONSTANTS = PhysicalConstants()
+CONSTANTS = PhysicalConstants(e=1.602176634e-19, h=6.62607015e-34,
+                              k_B=8.617333262e-2, hbar=6.582119569e-13)
 
 #: The conductance quantum e^2/h of one spin-polarized mode, S, computed once.
 G0 = CONSTANTS.G0_spin_polarized

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 
 from .constants import CONSTANTS
@@ -45,31 +44,30 @@ class Character(Enum):
     MIXED = "Mixed"
 
 
-@dataclass(frozen=True)
-class Level:
-    energy: float                # meV, relative to the ground level
-    character: Character
-    sz_total: float              # sum over degenerate members (0 if mixed)
-    l1z: int                     # +-1, or 0 when a group spans both branches
-    degeneracy: int
-    parallel_accessible: bool    # contains the spin-aligned |up,up> state
+#: A level of the diagram: its energy in meV relative to the ground level,
+#: its character, sz_total summed over its degenerate members (0 if mixed),
+#: l1z (+-1, or 0 when it spans both branches), its degeneracy, and whether
+#: it is parallel_accessible (contains the spin-aligned |up,up> state).
+Level = namedtuple("Level", "energy character sz_total l1z degeneracy "
+                   "parallel_accessible")
 
 
-@dataclass(frozen=True)
-class ResonanceSpec:
-    energy: float                # meV, relative to the ground level
-    Gamma: float                 # meV
-    q: complex                   # Re q = 0, |q| <= 1: else T > 1 somewhere
+class ResonanceSpec(namedtuple("ResonanceSpec", "energy Gamma q")):
+    """A resonance at energy (meV, relative to the ground level) with
+    broadening Gamma (meV) and Fano factor q: Re q = 0 and |q| <= 1, else
+    T > 1 somewhere."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks
 
-    def __post_init__(self):
-        if not (self.Gamma > 0 and self.q.real == 0 and abs(self.q) <= 1):
-            raise ValueError(f"need Gamma > 0, Re q = 0 and |q| <= 1: {self}")
+    def __new__(cls, energy, Gamma, q):
+        if not (Gamma > 0 and q.real == 0 and abs(q) <= 1):
+            raise ValueError(f"need Gamma > 0, Re q = 0 and |q| <= 1: "
+                             f"Gamma = {Gamma}, q = {q}")
+        return super().__new__(cls, energy, Gamma, q)
 
 
-@dataclass(frozen=True)
-class MarginReport:
-    satisfied: bool
-    ratio: float                 # splitting / Gamma
+#: Whether a verdict is satisfied, and its ratio, splitting / Gamma.
+MarginReport = namedtuple("MarginReport", "satisfied ratio")
 
 
 _State = namedtuple("_State", "energy character sz l1z up_up")

@@ -14,16 +14,18 @@ numpy array of energies, bit for bit alike (only + - * / on reals);
 
 The dip area over a sharp window is the closed form ``dip_integral``,
 shared by the mean reflection and the T = 0 current deficit.
+``TransmissionModel`` is a named tuple whose cached properties (the
+weight, the lineshape constants, the coupled mode) live in its instance
+dict, so a ``_replace`` copy computes its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 
-from .config import Mode
 from .dot_spectrum import ResonanceSpec
 
 
@@ -39,11 +41,10 @@ CHANNEL_WEIGHT = {
 }
 
 
-@dataclass(frozen=True)
-class TransmissionModel:
-    resonance: ResonanceSpec
-    orientation: SpinOrientation
-    modes: tuple[Mode, ...]
+class TransmissionModel(namedtuple("TransmissionModel",
+                                   "resonance orientation modes")):
+    """The dot's ``ResonanceSpec``, the ``SpinOrientation`` of the dot spin
+    to the wire and the wire's tuple of ``Mode``s."""
 
     @cached_property
     def weight(self) -> float:

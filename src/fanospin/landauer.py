@@ -42,7 +42,6 @@ import cmath
 import math
 from collections import namedtuple
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
 from functools import cache
 
 from .constants import CURRENT_PER_MEV, FERMI_TAIL_KT, G0, thermal_energy
@@ -92,13 +91,11 @@ BiasPoint = namedtuple("BiasPoint", "mu_source mu_drain temperature")  # meV, K
 IVPoint = namedtuple("IVPoint", "V_sd I G_diff")    # mV, A, S
 
 
-@dataclass(frozen=True, slots=True)
-class IVCurve:
+class IVCurve(namedtuple("IVCurve", "V_sd I G_diff")):
     """Columns of floats, one entry per bias: V_sd, I and G_diff; ``points``
     builds one ``IVPoint`` per bias on each access."""
-    V_sd: tuple[float, ...]
-    I: tuple[float, ...]
-    G_diff: tuple[float, ...]
+    __slots__ = ()
+
     @property
     def points(self) -> tuple[IVPoint, ...]:
         return tuple(map(IVPoint, self.V_sd, self.I, self.G_diff))
@@ -402,36 +399,34 @@ def model_from_config(config: DeviceConfig,
 
 def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
     """The ``iv_curve`` of each model, as columns.  At kT = 0: a ``current``
-    call per nonzero bias, and G_diff = (G0 T(mu_s) + G0 T(mu_d)) / 2 from
-    two ``total_transmission`` calls.  At T > 0: one ``_integrals`` pass, a
-    deficit row per distinct nonzero-bias window and a dip row per distinct
-    mu (sharp, digamma or graded), and G once at each distinct mu."""
+    call per nonzero bias.  At T > 0: one ``_integrals`` pass, a deficit
+    row per distinct nonzero-bias window and a dip row per distinct mu
+    (sharp, digamma or graded).  At both, G once at each distinct mu, G0
+    T(mu) at kT = 0."""
     V_grid = tuple(map(float, V_grid))     # the curves' shared V_sd column
     if not V_grid or any(b <= a for a, b in zip(V_grid, V_grid[1:])):
         raise ValueError("bias grid must be nonempty and strictly increasing")
     mu0, T = config.mu_source, config.temperature
     biases = [BiasPoint(mu0 + V / 2, mu0 - V / 2, T) for V in V_grid]
+    mus = sorted({mu for b in biases for mu in b[:2]})
     kT = thermal_energy(T)
     if kT == 0:     # closed forms, each point its own calls
         currents = [[current(b, m) if V else 0.0
                      for V, b in zip(V_grid, biases)] for m in models]
-        G_diff = [[(G0 * total_transmission(b.mu_source, m)
-                    + G0 * total_transmission(b.mu_drain, m)) / 2
-                   for b in biases] for m in models]
+        dips = [None] * len(mus)
         if (paths := ROW_PATHS.get()) is not None:
-            paths["sharp"] += len({mu for b in biases for mu in b[:2]})
+            paths["sharp"] += len(mus)
     else:
-        mus = sorted({mu for b in biases for mu in b[:2]})
         moving = [b for V, b in zip(V_grid, biases) if V]
         pairs, dips = _integrals(models[0], kT, moving, mus)
         pairs = iter(pairs)
         parts = [next(pairs) if V else (0.0, 0.0) for V in V_grid]
         currents = [[ballistic - m.weight * (CURRENT_PER_MEV * deficit)
                      for ballistic, deficit in parts] for m in models]
-        G = (dict(zip(mus, (_conductance(m, kT, mu, dip)
-                            for mu, dip in zip(mus, dips)))) for m in models)
-        G_diff = [[(g[b.mu_source] + g[b.mu_drain]) / 2 for b in biases]
-                  for g in G]     # one model's G held at a time
+    G = (dict(zip(mus, (_conductance(m, kT, mu, dip)
+                        for mu, dip in zip(mus, dips)))) for m in models)
+    G_diff = [[(g[b.mu_source] + g[b.mu_drain]) / 2 for b in biases]
+              for g in G]     # one model's G held at a time
     return tuple(IVCurve(V_grid, tuple(I), tuple(dIdV))
                  for I, dIdV in zip(currents, G_diff))
 
@@ -453,5 +448,5 @@ def iv_curves(config: DeviceConfig, V_grid) -> tuple[IVCurve, IVCurve]:
     deficit exactly, so each curve equals its own ``iv_curve`` bit for bit.
     """
     model = model_from_config(config, SpinOrientation.PARALLEL)
-    return _iv_curves(config, V_grid, model, replace(
-        model, orientation=SpinOrientation.ANTIPARALLEL))
+    return _iv_curves(config, V_grid, model, model._replace(
+        orientation=SpinOrientation.ANTIPARALLEL))

@@ -24,7 +24,7 @@ a bracket on its flank, both found on floats; numpy computes the arrays of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -32,18 +32,22 @@ from .config import GAMMA_MIN, BandEdgeError, ExtractionError
 from .fano import fano_transmission
 
 
-@dataclass(frozen=True)
-class OracleLattice:
-    hopping_t: float        # meV, > 0
-    site_energy_eps_d: float  # side-level energy relative to band center, meV
-    coupling_tp: float      # wire <-> level hook, meV, >= 0
+class OracleLattice(namedtuple("OracleLattice",
+                               "hopping_t site_energy_eps_d coupling_tp")):
+    """The chain's hopping_t > 0, the side level's site_energy_eps_d
+    relative to the band centre and its coupling_tp >= 0 to the wire, all
+    finite, in meV."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks
 
-    def __post_init__(self):
-        if not (0 < self.hopping_t < math.inf
-                and 0 <= self.coupling_tp < math.inf
-                and -math.inf < self.site_energy_eps_d < math.inf):
-            raise ValueError(f"need finite hopping_t > 0, coupling_tp >= 0 "
-                             f"and site_energy_eps_d: {self}")
+    def __new__(cls, hopping_t, site_energy_eps_d, coupling_tp):
+        if not (0 < hopping_t < math.inf and 0 <= coupling_tp < math.inf
+                and -math.inf < site_energy_eps_d < math.inf):
+            raise ValueError(
+                f"need finite hopping_t > 0, coupling_tp >= 0 and "
+                f"site_energy_eps_d, got {hopping_t}, {coupling_tp} and "
+                f"{site_energy_eps_d}")
+        return super().__new__(cls, hopping_t, site_energy_eps_d, coupling_tp)
 
     @property
     def band_edge(self) -> float:
@@ -107,22 +111,25 @@ def effective_broadening(lattice: OracleLattice) -> float:
     eps_d = dip_minimum(lattice)
     t, tp = lattice.hopping_t, lattice.coupling_tp
     eta, p = eps_d / t, tp / t
+    # 2 -+ eta as (2t -+ eps_d) / t, free of eta's rounding near a band
+    # edge; halved inside, exactly, so that no finite t overflows
+    below, above = (t - eps_d / 2) / t * 2, (t + eps_d / 2) / t * 2
     p2, root, gamma = p * p, math.sqrt(eta * eta + 32.0), 0.0
     for side in (-1.0, 1.0):
-        peak = (eta + side * root) / 4.0
-        reach = abs(peak - eta) * t / tp        # d*/p, also where p == 0
-        if not reach * reach * (2.0 - peak) * (2.0 + peak) >= p2:
+        rise = (eta + side * root) / 4.0 - eta          # e* - eta
+        reach = abs(rise) * t / tp              # d*/p, also where p == 0
+        if not reach * reach * (below - rise) * (above + rise) >= p2:
             raise ExtractionError(
                 f"{'low' if side < 0 else 'high'}-energy dip flank does not "
                 f"recover to T = 1/2 inside the band at tp/t = {p:g}")
         lo, hi = 0.0, reach * t / tp                    # u at dip and peak
-        u = min(1.0 / math.sqrt((2.0 - eta) * (2.0 + eta)), hi)
+        u = min(1.0 / math.sqrt(below * above), hi)
         while True:             # every u after the first inside (lo, hi)
-            e = eta + side * p2 * u
-            g = (2.0 - e) * (2.0 + e)
+            x = side * p2 * u                           # e - eta
+            g = (below - x) * (above + x)               # 4 - e^2
             f = u * (u * g) - 1.0
             lo, hi = (u, hi) if f < 0 else (lo, u)
-            slope = 2.0 * u * (g - side * e * p2 * u)
+            slope = 2.0 * u * (g - side * (eta + x) * p2 * u)
             step = (u - f / slope if abs(f) < slope * (hi - lo)
                     else 0.5 * (lo + hi))   # Newton only if it stays in
             if not lo < step < hi:

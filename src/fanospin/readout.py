@@ -10,12 +10,15 @@ spin-channel weight 1/2, so the halving is exact.
 N identical lossless scatterers compose in intensity when placed at random
 and, ordered at the phase-matched spacing, by the exact product of their
 2x2 transfer matrices, R_N = tanh^2(N artanh sqrt(R)).
+
+The records are named tuples; ``ScalingModel`` checks N and R_single when
+it is built, ``_replace`` copies included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .constants import ZEEMAN_REFERENCE_MEV
@@ -37,44 +40,37 @@ class Arrangement(Enum):
     ORDERED_COHERENT = "OrderedCoherent"
 
 
-@dataclass(frozen=True)
-class ScalingModel:
-    arrangement: Arrangement
-    N: int
-    R_single: float
+class ScalingModel(namedtuple("ScalingModel", "arrangement N R_single")):
+    """N >= 1 identical scatterers, each reflecting R_single in [0, 1],
+    placed in an ``Arrangement``."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace checks
 
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if not 0.0 <= self.R_single <= 1.0:
-            raise ValueError(
-                f"R_single must be in [0, 1], got {self.R_single}")
-
-
-@dataclass(frozen=True)
-class ReadoutReport:
-    I_ballistic: float              # A, dot decoupled (w = 0)
-    I_parallel: float               # A
-    I_antiparallel: float           # A
-    delta_I_parallel: float         # A, ballistic minus parallel
-    delta_I_antiparallel: float     # A
-    contrast: float                 # (I_anti - I_par) / I_ballistic
-    relative_decrease_parallel: float
-    relative_decrease_antiparallel: float
-    flip_blocked: bool
-    levels_distinguishable: bool
-    optimal_V: float                # mV
-    mean_reflection_dip_window: float   # window +-Gamma about the resonance
-    conductance_at_resonance: float     # S, linear conductance with mu at dip
-    lineshape_note: str
+    def __new__(cls, arrangement, N, R_single):
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
+        if not 0.0 <= R_single <= 1.0:
+            raise ValueError(f"R_single must be in [0, 1], got {R_single}")
+        return super().__new__(cls, arrangement, N, R_single)
 
 
-@dataclass(frozen=True)
-class NondemolitionSummary:
-    qnd: bool
-    reasons: tuple[str, ...]
-    spin_flip_time: float           # s, inf at J = 0
-    beta_vs_zeeman: str
+#: The currents in A: I_ballistic with the dot decoupled (w = 0),
+#: I_parallel, I_antiparallel, and delta_I_parallel and
+#: delta_I_antiparallel, ballistic minus each; the contrast (I_anti -
+#: I_par) / I_ballistic and the relative decreases; the two verdicts; the
+#: optimal_V in mV; the mean reflection over +-Gamma about the resonance;
+#: the linear conductance in S with mu at the dip; and the lineshape note.
+ReadoutReport = namedtuple(
+    "ReadoutReport", "I_ballistic I_parallel I_antiparallel delta_I_parallel "
+    "delta_I_antiparallel contrast relative_decrease_parallel "
+    "relative_decrease_antiparallel flip_blocked levels_distinguishable "
+    "optimal_V mean_reflection_dip_window conductance_at_resonance "
+    "lineshape_note")
+
+#: The verdict qnd, its reasons, the spin_flip_time in s (inf at J = 0) and
+#: how beta compares with the Zeeman splitting, beta_vs_zeeman.
+NondemolitionSummary = namedtuple(
+    "NondemolitionSummary", "qnd reasons spin_flip_time beta_vs_zeeman")
 
 
 def readout_report(config: DeviceConfig) -> ReadoutReport:

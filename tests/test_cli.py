@@ -232,11 +232,10 @@ def test_iv_determinism(tmp_path):
 
 
 def test_override_equivalence(tmp_path):
-    import dataclasses
     from fanospin.config import validate
     edited = tmp_path / "edited.json"
     edited.write_text(dumps(validate(
-        dataclasses.replace(default_config(), J=2.0))), encoding="utf-8")
+        default_config()._replace(J=2.0))), encoding="utf-8")
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["levels", "--set", "J=2.0", "--out", str(a)]) == 0
     assert main(["levels", "--config", str(edited), "--out", str(b)]) == 0
@@ -704,15 +703,17 @@ def test_levels_modules_import_no_numpy():
 
 TRANSPORT = ("landauer", "readout", "lattice_oracle")
 
-#: Runs ``python -m fanospin ARGS...`` and prints, as the last two lines of
-#: stdout, whether numpy was loaded when the run ended and which of the
-#: ``TRANSPORT`` modules were.
+#: Runs ``python -m fanospin ARGS...`` and prints, as the last three lines
+#: of stdout, whether numpy and dataclasses were loaded when the run ended
+#: and which of the ``TRANSPORT`` modules were.
 NUMPY_PROBE = ("import runpy, sys\n"
                "try:\n"
                "    runpy.run_module('fanospin', run_name='__main__', "
                "alter_sys=True)\n"
                "finally:\n"
                "    print('numpy loaded:', 'numpy' in sys.modules)\n"
+               "    print('dataclasses loaded:', "
+               "'dataclasses' in sys.modules)\n"
                f"    print('transport loaded:', [m for m in {TRANSPORT!r} "
                "if 'fanospin.' + m in sys.modules])\n")
 
@@ -746,8 +747,10 @@ def test_numpy_loads_only_where_a_subcommand_computes(tmp_path, args, code,
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *args],
                           capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
-    *stdout, numpy_probe, transport_probe = proc.stdout.splitlines()
+    *stdout, numpy_probe, dataclasses_probe, transport_probe = \
+        proc.stdout.splitlines()
     assert numpy_probe == f"numpy loaded: {numpy_loaded}"
+    assert dataclasses_probe == "dataclasses loaded: False"
     assert transport_probe == f"transport loaded: {transport}"
     if needle is not None:
         assert needle in "\n".join(stdout) + proc.stderr

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -92,7 +91,7 @@ def test_default_config_is_valid():
 
 def test_override_equivalence():
     cfg = default_config()
-    edited = dataclasses.replace(cfg, J=2.5)
+    edited = cfg._replace(J=2.5)
     overridden = apply_overrides(cfg, ["J=2.5"])
     assert validate(overridden) == validate(edited)
 
@@ -230,7 +229,7 @@ def test_alpha_R_and_D_rejected_by_key_with_beta_given(overrides, key):
 
 @pytest.mark.parametrize("overrides, key", BAD_ALPHA_R_OR_D)
 def test_alpha_R_and_D_rejected_by_key_with_beta_derived(overrides, key):
-    base = dataclasses.replace(default_config(), beta=None)
+    base = default_config()._replace(beta=None)
     (violation,) = _violations(overrides, base)
     assert violation.startswith(f"{key}: ")
 
@@ -241,7 +240,7 @@ def test_beta_derived_past_the_float_range_is_rejected_as_beta():
     (given,) = _violations(["alpha_R=1e300", "D=1e-300"])
     assert given.startswith("beta: 3.0 inconsistent")
     (derived,) = _violations(["alpha_R=1e300", "D=1e-300"],
-                             dataclasses.replace(default_config(), beta=None))
+                             default_config()._replace(beta=None))
     assert derived.startswith("beta: must be in")
 
 
@@ -257,7 +256,7 @@ def test_value_that_is_no_float_is_one_violation(key, value):
 
 def test_json_keys_are_the_field_names():
     cfg = make_raw(alpha_R=5.0, D=10.0, q=0.5j)
-    names = [f.name for f in dataclasses.fields(DeviceConfig)]
+    names = list(DeviceConfig._fields)
     assert sorted(to_dict(cfg)) == sorted(names)
     assert from_dict(to_dict(cfg)) == cfg
     required = {"eps1", "U_C", "J", "Gamma", "mu_source", "V_sd",

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -139,7 +138,7 @@ def test_target_level_rejects_gamma_below_float_spacing():
     # E_res = 9.75 meV, whose float spacing is 1.8e-15 meV
     for Gamma in (1e-17, 1e-150):
         # validate rejects it as well; target_level keeps its own check
-        cfg = dataclasses.replace(make_config(J=1.0), Gamma=Gamma)
+        cfg = make_config(J=1.0)._replace(Gamma=Gamma)
         with pytest.raises(ConfigError, match="^Gamma: "):
             target_level(cfg)
     cfg = make_config(J=1.0, Gamma=1e-15)

@@ -41,6 +41,8 @@ def test_unphysical_q_rejected():
     for q in (0.3, 1.5j):
         with pytest.raises(ValueError, match="Re q = 0 and"):
             ResonanceSpec(energy=0.0, Gamma=1.0, q=q)
+        with pytest.raises(ValueError, match="Re q = 0 and"):
+            ResonanceSpec(energy=0.0, Gamma=1.0, q=0j)._replace(q=q)
 
 
 def test_gamma_must_be_positive():

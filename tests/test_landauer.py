@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -206,7 +205,7 @@ def test_zero_T_closed_forms_equal_the_sharp_rows(case):
 
 
 def test_zero_T_enters_no_integrals_pass(monkeypatch):
-    cfg = validate(dataclasses.replace(default_config(), temperature=0.0))
+    cfg = validate(default_config()._replace(temperature=0.0))
     expected = (iv_curves(cfg, [-1.0, 0.0, 1.0]), readout_report(cfg))
 
     def refuse(*args):
@@ -219,7 +218,7 @@ def test_zero_T_enters_no_integrals_pass(monkeypatch):
 
 
 def test_iv_curve_points_round_trip_the_columns():
-    cfg = validate(dataclasses.replace(default_config(), temperature=0.0))
+    cfg = validate(default_config()._replace(temperature=0.0))
     curve = iv_curve(cfg, [-1, 0.0, 0.5, 2])
     assert curve.V_sd == (-1.0, 0.0, 0.5, 2.0)
     assert all(type(x) is float for x in curve.V_sd + curve.I + curve.G_diff)
@@ -291,9 +290,8 @@ def test_iv_curves_equal_each_orientation_bit_for_bit(T, grid):
         mu_source=7.25, V_sd=1.0, temperature=T, q=0.4j,
         modes=(Mode(0.0, coupled=True), Mode(7.6, coupled=False))))
     par, anti = iv_curves(cfg, grid)
-    assert par == iv_curve(dataclasses.replace(cfg, dot_spin=Spin.UP), grid)
-    assert anti == iv_curve(dataclasses.replace(cfg, dot_spin=Spin.DOWN),
-                            grid)
+    assert par == iv_curve(cfg._replace(dot_spin=Spin.UP), grid)
+    assert anti == iv_curve(cfg._replace(dot_spin=Spin.DOWN), grid)
 
 
 @pytest.mark.parametrize("block", [1, 3])
@@ -304,7 +302,7 @@ def test_graded_rule_blocks_change_no_row(monkeypatch, block):
     kT = thermal_energy(4.0)
     windows = [(5.0 - v, 5.0 + v) for v in (0.25, 1.0, 2.0, 8.0)]
     points = [-1.0, 4.5, 5.0, 6.0, 30.0]
-    cfg = validate(dataclasses.replace(default_config(), temperature=0.1))
+    cfg = validate(default_config()._replace(temperature=0.1))
     grid = np.linspace(-2.0, 2.0, 81)
     assert len(windows) + len(points) <= landauer._BLOCK_ROWS
     rows = landauer._graded_rule(model, kT, windows, points).tolist()
@@ -356,7 +354,7 @@ def test_iv_curve_is_current_and_exact_dIdV_pointwise(
         curves = iv_curves(cfg, grid)
     assert curve == curves[0 if cfg.dot_spin is Spin.UP else 1]
     model = model_from_config(cfg, SpinOrientation.PARALLEL)
-    anti = dataclasses.replace(model, orientation=SpinOrientation.ANTIPARALLEL)
+    anti = model._replace(orientation=SpinOrientation.ANTIPARALLEL)
     for m, c in zip((model, anti), curves):
         I = [p.I for p in c.points]
         assert I == [-i for i in reversed(I)]
@@ -366,10 +364,8 @@ def test_iv_curve_is_current_and_exact_dIdV_pointwise(
             assert p.I == current(bias, m)
             assert p.G_diff == (linear_conductance(m, T, bias.mu_source)
                                 + linear_conductance(m, T, bias.mu_drain)) / 2
-    assert curves == (iv_curve(dataclasses.replace(cfg, dot_spin=Spin.UP),
-                               grid),
-                      iv_curve(dataclasses.replace(cfg, dot_spin=Spin.DOWN),
-                               grid))
+    assert curves == (iv_curve(cfg._replace(dot_spin=Spin.UP), grid),
+                      iv_curve(cfg._replace(dot_spin=Spin.DOWN), grid))
 
 
 #: Three modes whose uncoupled bottoms, 6.5 and 8.0 meV, are exactly the
@@ -387,7 +383,7 @@ def test_zero_T_curve_points_are_their_own_calls_at_a_subband_bottom():
     curves = iv_curves(cfg, STEP_GRID)
     assert curves[0] == iv_curve(cfg, STEP_GRID)
     model = model_from_config(cfg, SpinOrientation.PARALLEL)
-    anti = dataclasses.replace(model, orientation=SpinOrientation.ANTIPARALLEL)
+    anti = model._replace(orientation=SpinOrientation.ANTIPARALLEL)
     on_bottom = 0
     for m, c in zip((model, anti), curves):
         for V, p in zip(STEP_GRID, c.points):
@@ -971,8 +967,7 @@ def test_point_rows_keep_their_fermi_peak_at_any_mu(T, mu, bottom):
 def test_graded_rule_keeps_a_point_row_far_from_the_resonance():
     # eps1 = 1e6 meV at 4 K puts E_res 3e6 kT above mu_source; the point
     # row's nodes, measured from mu, do not round to ulp(1e6) = 1.2e-10 meV
-    cfg = validate(dataclasses.replace(default_config(), eps1=1e6,
-                                       temperature=4.0))
+    cfg = validate(default_config()._replace(eps1=1e6, temperature=4.0))
     model = model_from_config(cfg, SpinOrientation.PARALLEL)
     kT = thermal_energy(4.0)
     mu = cfg.mu_source
@@ -1071,8 +1066,7 @@ def test_graded_rule_keeps_wide_windows(width, far):
 @pytest.mark.parametrize("V", [1e20, -1e20, 1e16])
 def test_wide_bias_readout_matches_mpmath(V):
     # mu_drain = mu_source - V, 2.9e16 to 2.9e20 kT from mu_source at 4 K
-    cfg = validate(dataclasses.replace(default_config(), temperature=4.0,
-                                       V_sd=V))
+    cfg = validate(default_config()._replace(temperature=4.0, V_sd=V))
     report = readout_report(cfg)
     model = model_from_config(cfg, SpinOrientation.PARALLEL)
     lo, hi = sorted((cfg.mu_source, cfg.mu_source - V))
@@ -1139,8 +1133,8 @@ def test_open_width_keeps_the_window(lo, hi, bottom, T):
 def test_far_bottom_current_follows_the_bias(T, bottom):
     # a passive wire: sign(I) = sign(V), and the dip only takes current
     # away from the ballistic current, 0 <= I / I_ballistic <= 1
-    cfg = validate(dataclasses.replace(
-        default_config(), temperature=T, modes=(Mode(bottom, coupled=True),)))
+    cfg = validate(default_config()._replace(
+        temperature=T, modes=(Mode(bottom, coupled=True),)))
     grid = [-2.0, -1.0, -0.5, -1e-6, 0.0, 1e-6, 0.5, 1.0, 2.0]
     model = model_from_config(cfg, SpinOrientation.PARALLEL)
     for V, p in zip(grid, iv_curve(cfg, grid).points):

@@ -45,6 +45,8 @@ def test_non_finite_lattice_rejected(field, value):
     fields = dict(hopping_t=1.0, site_energy_eps_d=0.0, coupling_tp=0.1)
     with pytest.raises(ValueError):
         OracleLattice(**dict(fields, **{field: value}))
+    with pytest.raises(ValueError):
+        OracleLattice(**fields)._replace(**{field: value})
 
 
 def test_perfect_antiresonance_at_level():
@@ -118,6 +120,17 @@ def test_effective_broadening_matches_mpmath(t, exponent, eta):
     else:
         assert effective_broadening(lat) == pytest.approx(float(exact),
                                                           rel=1e-13)
+
+
+def test_effective_broadening_keeps_the_digits_near_a_band_edge():
+    # eta = -1.99998956: 2 + eta taken from the rounded eps_d / t misses
+    # the root of this lattice by 1.6e-12
+    lat = OracleLattice(hopping_t=2.637372060198245e137,
+                        site_energy_eps_d=-5.274716578837464e137,
+                        coupling_tp=2224407500957.614)
+    exact = float(_mpmath_half_width(lat))
+    assert effective_broadening(lat) == pytest.approx(exact, rel=1e-15,
+                                                      abs=0)
 
 
 def test_effective_broadening_weak_coupling_value():

@@ -133,6 +133,9 @@ def test_scaling_model_validation():
         ScalingModel(Arrangement.RANDOM_INCOHERENT, N=0, R_single=0.1)
     with pytest.raises(ValueError):
         ScalingModel(Arrangement.RANDOM_INCOHERENT, N=1, R_single=1.5)
+    with pytest.raises(ValueError):
+        ScalingModel(Arrangement.RANDOM_INCOHERENT, N=1,
+                     R_single=0.1)._replace(N=0)
 
 
 def test_qnd_verdict():
