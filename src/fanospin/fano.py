@@ -15,8 +15,8 @@ numpy array of energies, bit for bit alike (only + - * / on reals);
 The dip area over a sharp window is the closed form ``dip_integral``,
 shared by the mean reflection and the T = 0 current deficit.
 ``TransmissionModel`` is a named tuple whose cached properties (the
-weight, the lineshape constants, the coupled mode) live in its instance
-dict, so a ``_replace`` copy computes its own.
+weight, the constants of the lineshape, dip area and T = 0 window, the
+coupled mode) live in its instance dict; a ``_replace`` copy has its own.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import math
 from collections import namedtuple
 from enum import Enum
 from functools import cached_property
-
-from .dot_spectrum import ResonanceSpec
 
 
 class SpinOrientation(Enum):
@@ -52,13 +50,15 @@ class TransmissionModel(namedtuple("TransmissionModel",
 
     @cached_property
     def lineshape(self) -> tuple:
-        """What the lineshape reads: (E_res, (Im q Gamma)^2, Gamma^2, w,
-        ((bottom, coupled), ...)).  ``ResonanceSpec`` has already checked
-        Gamma > 0 and Re q = 0."""
+        """What the lineshape, the dip area and the T = 0 window read: (E_res,
+        (Im q Gamma)^2, Gamma^2, w, ((bottom, coupled), ...), Gamma, (1 -
+        |q|^2) Gamma, coupled bottom), Gamma > 0 and Re q = 0 checked."""
         res = self.resonance
         b = res.q.imag * res.Gamma
         return (res.energy, b * b, res.Gamma * res.Gamma, self.weight,
-                tuple((m.bottom_energy, m.coupled) for m in self.modes))
+                tuple((m.bottom_energy, m.coupled) for m in self.modes),
+                res.Gamma, res.Gamma * (1.0 - abs(res.q) ** 2),
+                self.modes[self.coupled_index].bottom_energy)
 
     @cached_property
     def coupled_index(self) -> int:
@@ -88,7 +88,7 @@ def spin_channel_reflection(E, model: TransmissionModel):
     """R(E) = w * (1 - T_fano(E - E_res)); w = 1 parallel, 1/2 antiparallel.
     E is a float or an array; T_fano in ``fano_transmission``'s order of
     operations, from ``model.lineshape``."""
-    E_res, b2, G2, w, _ = model.lineshape
+    E_res, b2, G2, w, _, _, _, _ = model.lineshape
     eps = E - E_res
     d2 = eps * eps
     return w * (1.0 - (d2 + b2) / (d2 + G2))
@@ -106,30 +106,31 @@ def mode_transmission(E: float, model: TransmissionModel, mode_index: int):
 
 def total_transmission(E: float, model: TransmissionModel) -> float:
     """Sum of ``mode_transmission`` over the modes at energy E, in one pass
-    and in mode order: bit for bit the per-mode sum."""
-    E_res, b2, G2, w, modes = model.lineshape
-    # spin_channel_reflection inline: a call adds a fifth to a scalar sweep
-    eps = E - E_res
-    d2 = eps * eps
-    t = 1.0 - w * (1.0 - (d2 + b2) / (d2 + G2))
+    and in mode order, the dip only on the open coupled mode: bit for bit
+    the per-mode sum."""
+    E_res, b2, G2, w, modes, _, _, _ = model.lineshape
     total = 0.0
     for bottom, coupled in modes:
         if E >= bottom:
-            total += t if coupled else 1.0
+            if coupled:     # spin_channel_reflection inline: a call adds a
+                eps = E - E_res     # fifth to a scalar sweep
+                d2 = eps * eps
+                total += 1.0 - w * (1.0 - (d2 + b2) / (d2 + G2))
+            else:
+                total += 1.0
     return total
 
 
-def dip_integral(resonance: ResonanceSpec, lo: float, hi: float) -> float:
-    """integral_lo^hi (1 - T_fano(E - E_res)) dE in meV, closed form.
+def dip_integral(model: TransmissionModel, lo: float, hi: float) -> float:
+    """integral_lo^hi (1 - T_fano(E - E_res)) dE in meV, closed form, for
+    the model's resonance (unit weight, every mode open).
 
     Antiderivative Gamma (1 - |q|^2) atan(eps/Gamma), eps = E - E_res
     (Re q = 0).  The arctan difference is the argument of
     (Gamma + i eps_hi)(Gamma - i eps_lo), exact for narrow windows too.
     """
-    G = resonance.Gamma
-    a, b = lo - resonance.energy, hi - resonance.energy
-    return G * (1.0 - abs(resonance.q) ** 2) * math.atan2(
-        G * (hi - lo), G * G + a * b)
+    E_res, _, G2, _, _, G, depth, _ = model.lineshape
+    return depth * math.atan2(G * (hi - lo), G2 + (lo - E_res) * (hi - E_res))
 
 
 def mean_reflection(model: TransmissionModel,
@@ -138,4 +139,4 @@ def mean_reflection(model: TransmissionModel,
     lo, hi = window
     if not (lo < hi) or not (abs(lo) < float("inf") and abs(hi) < float("inf")):
         raise ValueError(f"window must be finite with E_lo < E_hi: {window}")
-    return model.weight * dip_integral(model.resonance, lo, hi) / (hi - lo)
+    return model.weight * dip_integral(model, lo, hi) / (hi - lo)

@@ -4,8 +4,9 @@ I = (e/h) * sum_i integral dE T_i(E) [f_s(E) - f_d(E)], spin-polarized
 prefactor e/h (no factor 2).  Ballistic mode contributions have a closed
 form.  The current deficit carved out by the Fano dip is scaled by the
 spin-channel weight, so the antiparallel deficit is half the parallel one
-to machine precision.  At kT = 0 a bias window is one ``_sharp_window``
-call (the open widths and ``fano.dip_integral``), and a point G0 T(mu).
+to machine precision.  At kT = 0 a window is one ``_sharp_window`` call
+(open widths and ``fano.dip_integral`` from ``model.lineshape``), a point
+G0 T(mu), and a curve's G_diff (G0 T(mu_s) + G0 T(mu_d)) / 2, no table.
 
 At T > 0 every deficit and every dip share of the linear conductance is a
 row, evaluated on one of three paths.  A row depends only on its sorted
@@ -127,12 +128,13 @@ def _sharp_window(model: TransmissionModel, lo: float, hi: float):
         return 0.0 - ballistic, 0.0 - deficit
     if (paths := ROW_PATHS.get()) is not None:
         paths["sharp"] += 1
-    ballistic, bottom = 0.0, model.modes[model.coupled_index].bottom_energy
-    for edge, _ in model.lineshape[4]:
+    _, _, _, _, modes, _, _, bottom = model.lineshape
+    ballistic = 0.0
+    for edge, _ in modes:
         ballistic += hi - (lo if lo > edge else edge) if hi > edge else 0.0
     lo = lo if lo > bottom else bottom  # no dip below the subband
     return (CURRENT_PER_MEV * ballistic,
-            dip_integral(model.resonance, lo, hi) if lo < hi else 0.0)
+            dip_integral(model, lo, hi) if lo < hi else 0.0)
 
 
 def _shift(x: float, y: float) -> int:
@@ -358,7 +360,7 @@ def current_components(bias: BiasPoint, model: TransmissionModel,
 
 def current(bias: BiasPoint, model: TransmissionModel) -> float:
     """Landauer current in amperes."""
-    if thermal_energy(bias.temperature):
+    if bias.temperature:    # T < 0 raises there; a kT = 0 takes the same path
         ballistic, deficit = current_components(bias, model)
         return ballistic - deficit
     I_ball, dip = _sharp_window(model, bias.mu_drain, bias.mu_source)
@@ -399,30 +401,37 @@ def model_from_config(config: DeviceConfig,
 
 def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
     """The ``iv_curve`` of each model, as columns.  At kT = 0: a ``current``
-    call per nonzero bias.  At T > 0: one ``_integrals`` pass, a deficit
-    row per distinct nonzero-bias window and a dip row per distinct mu
-    (sharp, digamma or graded).  At both, G once at each distinct mu, G0
-    T(mu) at kT = 0."""
+    call per nonzero bias, G_diff straight from G0 T(mu_s) and G0 T(mu_d).
+    At T > 0: one ``_integrals`` pass, a deficit row per distinct window and
+    a dip row per distinct mu (sharp, digamma or graded), G once at each."""
     V_grid = tuple(map(float, V_grid))     # the curves' shared V_sd column
     if not V_grid or any(b <= a for a, b in zip(V_grid, V_grid[1:])):
         raise ValueError("bias grid must be nonempty and strictly increasing")
     mu0, T = config.mu_source, config.temperature
-    biases = [BiasPoint(mu0 + V / 2, mu0 - V / 2, T) for V in V_grid]
-    mus = sorted({mu for b in biases for mu in b[:2]})
     kT = thermal_energy(T)
     if kT == 0:     # closed forms, each point its own calls
-        currents = [[current(b, m) if V else 0.0
-                     for V, b in zip(V_grid, biases)] for m in models]
-        dips = [None] * len(mus)
+        sources = [mu0 + V / 2 for V in V_grid]
+        drains = [mu0 - V / 2 for V in V_grid]
         if (paths := ROW_PATHS.get()) is not None:
-            paths["sharp"] += len(mus)
-    else:
-        moving = [b for V, b in zip(V_grid, biases) if V]
-        pairs, dips = _integrals(models[0], kT, moving, mus)
-        pairs = iter(pairs)
-        parts = [next(pairs) if V else (0.0, 0.0) for V in V_grid]
-        currents = [[ballistic - m.weight * (CURRENT_PER_MEV * deficit)
-                     for ballistic, deficit in parts] for m in models]
+            paths["sharp"] += len({*sources, *drains})
+        curves = []
+        for m in models:    # tuple.__new__: half the cost of BiasPoint(...)
+            I = [current(tuple.__new__(BiasPoint, (s, d, T)), m) if V else 0.0
+                 for V, s, d in zip(V_grid, sources, drains)]
+            G = [G0 * total_transmission(mu, m) for mu in sources]
+            G_drain = (G[::-1] if drains == sources[::-1]  # mirrored grid
+                       else [G0 * total_transmission(mu, m) for mu in drains])
+            curves.append(IVCurve(V_grid, tuple(I), tuple([
+                (g_s + g_d) / 2 for g_s, g_d in zip(G, G_drain)])))
+        return tuple(curves)
+    biases = [BiasPoint(mu0 + V / 2, mu0 - V / 2, T) for V in V_grid]
+    mus = sorted({mu for b in biases for mu in b[:2]})
+    moving = [b for V, b in zip(V_grid, biases) if V]
+    pairs, dips = _integrals(models[0], kT, moving, mus)
+    pairs = iter(pairs)
+    parts = [next(pairs) if V else (0.0, 0.0) for V in V_grid]
+    currents = [[ballistic - m.weight * (CURRENT_PER_MEV * deficit)
+                 for ballistic, deficit in parts] for m in models]
     G = (dict(zip(mus, (_conductance(m, kT, mu, dip)
                         for mu, dip in zip(mus, dips)))) for m in models)
     G_diff = [[(g[b.mu_source] + g[b.mu_drain]) / 2 for b in biases]

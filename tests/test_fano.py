@@ -193,21 +193,21 @@ def test_dip_integral_matches_quadrature():
         q = complex(0.0, rng.uniform(-1, 1)) if rng.random() < 0.5 else 0j
         lo = E0 + rng.uniform(-30, 30) * Gamma
         hi = lo + 10 ** rng.uniform(-3, 2) * Gamma
-        res = ResonanceSpec(energy=E0, Gamma=Gamma, q=q)
+        model = make_model(SpinOrientation.PARALLEL, E0, Gamma, q)
         dip = lambda E: 1.0 - fano_transmission(E - E0, Gamma, q)
         pts = [p for p in (E0 - Gamma, E0, E0 + Gamma) if lo < p < hi]
         ref, _ = quad(dip, lo, hi, points=pts or None, epsabs=0.0,
                       epsrel=1e-13, limit=200)
-        assert dip_integral(res, lo, hi) == pytest.approx(ref, rel=1e-10)
+        assert dip_integral(model, lo, hi) == pytest.approx(ref, rel=1e-10)
 
 
 def test_dip_integral_narrow_window_with_real_q():
     # window of 1e-9 Gamma: the area is the integrand times the width, so
     # the atan2 form must not cancel (real q is rejected, see above)
-    res = ResonanceSpec(energy=0.0, Gamma=1.0, q=0.7j)
+    model = make_model(SpinOrientation.PARALLEL, 0.0, 1.0, 0.7j)
     for E in (-3.0, -0.4, 0.0, 0.9, 25.0):
         hi = E + 1e-9
         eps = (E + hi) / 2
-        mid = 1.0 - abs(eps + res.q) ** 2 / (eps**2 + 1.0)
-        assert dip_integral(res, E, hi) / (hi - E) == pytest.approx(
+        mid = 1.0 - abs(eps + 0.7j) ** 2 / (eps**2 + 1.0)
+        assert dip_integral(model, E, hi) / (hi - E) == pytest.approx(
             mid, rel=1e-8)

@@ -330,24 +330,34 @@ iv_temperatures = st.one_of(st.sampled_from([0.0, 1e-300]),
 
 @settings(max_examples=60, deadline=None)
 @given(T=iv_temperatures, q=st.floats(0, 1), Gamma=st.floats(0.05, 3.0),
-       offset=st.floats(-2.0, 2.0), two_modes=st.booleans(),
+       offset=st.floats(-2.0, 2.0), n_modes=st.integers(1, 3),
        half_width=st.floats(0.01, 6.0), n=st.integers(1, 6),
-       bottom=st.one_of(st.just(0.0), st.floats(-2.0, 10.0)))
-@example(T=0.1, q=0.0, Gamma=1.0, offset=0.0, two_modes=False,
-         half_width=2.0, n=3, bottom=0.0)
-@example(T=0.0, q=0.0, Gamma=1.0, offset=0.0, two_modes=True,
-         half_width=4.0, n=4, bottom=7.0)
+       bottom=st.one_of(st.just(0.0), st.floats(-2.0, 10.0)),
+       node=st.integers(0, 12), one_sided=st.booleans())
+@example(T=0.1, q=0.0, Gamma=1.0, offset=0.0, n_modes=1,
+         half_width=2.0, n=3, bottom=0.0, node=0, one_sided=False)
+@example(T=0.0, q=0.0, Gamma=1.0, offset=0.0, n_modes=2,
+         half_width=4.0, n=4, bottom=7.0, node=0, one_sided=False)
+@example(T=0.0, q=0.6, Gamma=0.3, offset=0.0, n_modes=3,
+         half_width=1.5, n=3, bottom=7.25, node=5, one_sided=False)
+@example(T=0.0, q=0.6, Gamma=0.3, offset=0.0, n_modes=3,
+         half_width=1.5, n=3, bottom=7.25, node=2, one_sided=True)
 def test_iv_curve_is_current_and_exact_dIdV_pointwise(
-        T, q, Gamma, offset, two_modes, half_width, n, bottom):
-    # the one-pass kernel against its one-row calls, bit for bit; with the
-    # coupled subband bottom up to 10 meV, some windows lie below it
-    modes = (Mode(bottom, coupled=True),) + ((Mode(7.6),) if two_modes
-                                            else ())
+        T, q, Gamma, offset, n_modes, half_width, n, bottom, node,
+        one_sided):
+    # the one-pass kernel against its one-row calls, and the T = 0 curve's
+    # G0 T(mu) against linear_conductance, bit for bit; with the coupled
+    # subband bottom up to 10 meV, some windows lie below it, and the
+    # uncoupled bottom on a node of the grid puts a step of T(mu) on a mu
+    pos = [half_width * k / n for k in range(1, n + 1)]
+    grid = [0.0] + pos if one_sided else [-v for v in reversed(pos)] + [
+        0.0] + pos
+    on_node = 7.25 + offset + grid[node % len(grid)] / 2
+    modes = ((Mode(bottom, coupled=True), Mode(on_node), Mode(7.6))
+             [:n_modes])
     cfg = validate(DeviceConfig(
         eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=Gamma, q=complex(0, q),
         mu_source=7.25 + offset, V_sd=1.0, temperature=T, modes=modes))
-    pos = [half_width * k / n for k in range(1, n + 1)]
-    grid = [-v for v in reversed(pos)] + [0.0] + pos
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         curve = iv_curve(cfg, grid)
@@ -357,13 +367,14 @@ def test_iv_curve_is_current_and_exact_dIdV_pointwise(
     anti = model._replace(orientation=SpinOrientation.ANTIPARALLEL)
     for m, c in zip((model, anti), curves):
         I = [p.I for p in c.points]
-        assert I == [-i for i in reversed(I)]
+        assert one_sided or I == [-i for i in reversed(I)]
         for V, p in zip(grid, c.points):
             bias = BiasPoint(cfg.mu_source + V / 2, cfg.mu_source - V / 2, T)
+            G = (linear_conductance(m, T, bias.mu_source)
+                 + linear_conductance(m, T, bias.mu_drain)) / 2
             assert p.V_sd == V
-            assert p.I == current(bias, m)
-            assert p.G_diff == (linear_conductance(m, T, bias.mu_source)
-                                + linear_conductance(m, T, bias.mu_drain)) / 2
+            assert p.I.hex() == current(bias, m).hex()
+            assert p.G_diff.hex() == G.hex()
     assert curves == (iv_curve(cfg._replace(dot_spin=Spin.UP), grid),
                       iv_curve(cfg._replace(dot_spin=Spin.DOWN), grid))
 
@@ -394,6 +405,37 @@ def test_zero_T_curve_points_are_their_own_calls_at_a_subband_bottom():
                  + linear_conductance(m, 0.0, bias.mu_drain)) / 2
             assert p.G_diff.hex() == G.hex()
     assert on_bottom == 4       # V = +-1.5 mV on both curves
+
+
+@pytest.mark.parametrize("modes", [(Mode(0.0, coupled=True),), MODES3])
+def test_zero_T_curve_calls_current_once_per_nonzero_bias(monkeypatch, modes):
+    # the call contract that perfbench's tracer counts on: on a mirrored
+    # grid each curve makes one landauer.current call per nonzero bias, none
+    # at V = 0, and outside those calls one sharp row per distinct mu
+    cfg = validate(DeviceConfig(
+        eps1=8.0, U_C=2.0, J=5.0, beta=3.0, Gamma=1.0, q=0.5j,
+        mu_source=7.25, V_sd=1.0, temperature=0.0, modes=modes))
+    calls = []
+
+    def counted(bias, model):
+        calls.append(bias)
+        token = landauer.ROW_PATHS.set(None)    # the window row uncounted
+        try:
+            return current(bias, model)
+        finally:
+            landauer.ROW_PATHS.reset(token)
+
+    monkeypatch.setattr(landauer, "current", counted)
+    mus = {7.25 + s * V / 2 for V in STEP_GRID for s in (1, -1)}
+    moving = [BiasPoint(7.25 + V / 2, 7.25 - V / 2, 0.0)
+              for V in STEP_GRID if V]
+    for compute, n_models in ((iv_curve, 1), (iv_curves, 2)):
+        calls.clear()
+        _, paths = _row_paths(compute, cfg, STEP_GRID)
+        assert calls == moving * n_models
+        assert {type(b) for b in calls} == {BiasPoint}
+        assert paths == dict(dict.fromkeys(landauer.PATHS, 0),
+                             sharp=len(mus))
 
 
 @pytest.mark.parametrize("grid", [STEP_GRID, [0.0, 0.5, 1.5, 3.0]])
@@ -429,7 +471,7 @@ def test_zero_T_current_is_ballistic_sum_minus_dip_integral(
                       - max(0.0, lo - mode.bottom_energy))
     ballistic = CURRENT_PER_MEV * ballistic
     clipped = max(0.0, lo)
-    dip = dip_integral(model.resonance, clipped, hi) if clipped < hi else 0.0
+    dip = dip_integral(model, clipped, hi) if clipped < hi else 0.0
     if mu_s < mu_d:
         ballistic, dip = 0.0 - ballistic, 0.0 - dip
     expected = ballistic - model.weight * (CURRENT_PER_MEV * dip)

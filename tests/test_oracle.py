@@ -119,7 +119,7 @@ def test_effective_broadening_matches_mpmath(t, exponent, eta):
             effective_broadening(lat)
     else:
         assert effective_broadening(lat) == pytest.approx(float(exact),
-                                                          rel=1e-13)
+                                                          rel=1e-13, abs=0)
 
 
 def test_effective_broadening_keeps_the_digits_near_a_band_edge():
