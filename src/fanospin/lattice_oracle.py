@@ -58,11 +58,12 @@ def oracle_transmission(E, lattice: OracleLattice):
     """|tau|^2 = v^2 d^2 / (v^2 d^2 + tp^4) = 1 / (1 + s^2), s = sigma / v
     = tp^2 / (v d), v = 2 t sin k = sqrt(4 t^2 - E^2), d = E - eps_d.
 
-    Evaluated as 1 / (1 + s^2) in units of t, with tp/t entering each
-    factor once, so no power of it under- or overflows: s is infinite and T
-    exactly 0 at E = eps_d for every tp > 0, and T = 1 at every E for
-    tp = 0.  E is a float or an array (a float comes back as a float);
-    BandEdgeError if any energy is outside the band.
+    Evaluated as 1 / (1 + s^2) in units of t, 2 -+ E/t as (2t -+ E) / t
+    (halved inside, free of E/t's rounding near a band edge), with tp/t
+    entering each factor once, so no power of it under- or overflows: s is
+    infinite and T exactly 0 at E = eps_d for every tp > 0, and T = 1 at
+    every E for tp = 0.  E is a float or an array (a float comes back as a
+    float); BandEdgeError if any energy is outside the band.
     """
     E = np.asarray(E, dtype=float)
     inside = np.abs(E) < lattice.band_edge
@@ -74,9 +75,9 @@ def oracle_transmission(E, lattice: OracleLattice):
     if tp == 0:
         T = np.ones_like(E)
     else:
-        e, p = E / t, tp / t
-        x = np.sqrt((2.0 - e) * (2.0 + e)) * ((E - lattice.site_energy_eps_d)
-                                              / t)      # v d / t^2
+        p = tp / t
+        x = np.sqrt((t - E / 2) / t * 2 * ((t + E / 2) / t * 2)) * (
+            (E - lattice.site_energy_eps_d) / t)        # v d / t^2
         with np.errstate(divide="ignore", over="ignore"):
             s = p / x * p
             T = 1.0 / (1.0 + s * s)
@@ -161,8 +162,7 @@ def compare_to_fano(lattice: OracleLattice,
     gamma = effective_broadening(lattice)
     half = window_halfwidth * gamma
     edge = lattice.band_edge * (1.0 - 1e-9)
-    lo = max(E_min - half, -edge)
-    hi = min(E_min + half, edge)
+    lo, hi = max(E_min - half, -edge), min(E_min + half, edge)
     step = (hi - lo) / max(n_points - 1, 1)
     spacing = math.ulp(max(abs(lo), abs(hi)))
     if step < spacing:

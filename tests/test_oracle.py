@@ -133,6 +133,25 @@ def test_effective_broadening_keeps_the_digits_near_a_band_edge():
                                                       abs=0)
 
 
+def test_oracle_transmission_keeps_the_digits_near_a_band_edge():
+    # eta = -1.9999900002: 2 + e taken from the rounded E / t put T up to
+    # 8.3e-12 from the lattice's own value on the dip's flanks
+    mpmath = pytest.importorskip("mpmath")
+    t = 1000 / 7
+    lat = OracleLattice(hopping_t=t, site_energy_eps_d=-1.9999900002 * t,
+                        coupling_tp=8e-5 * t)
+    gamma = effective_broadening(lat)
+    for k in (-3, -1, -0.5, 0.5, 1, 3):
+        E = lat.site_energy_eps_d + k * gamma
+        with mpmath.workdps(50):
+            tt, eps_d, tp, e = map(mpmath.mpf, (t, lat.site_energy_eps_d,
+                                                lat.coupling_tp, E))
+            s = tp * tp / (mpmath.sqrt(4 * tt * tt - e * e) * (e - eps_d))
+            exact = float(1 / (1 + s * s))
+        assert oracle_transmission(E, lat) == pytest.approx(exact, rel=1e-15,
+                                                            abs=0)
+
+
 def test_effective_broadening_weak_coupling_value():
     # Gamma_eff ~ tp^2 / (2 t sin k_F), k_F = pi/2 at band center
     lat = OracleLattice(hopping_t=1000.0, site_energy_eps_d=0.0,
