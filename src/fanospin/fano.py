@@ -50,9 +50,9 @@ class TransmissionModel(namedtuple("TransmissionModel",
 
     @cached_property
     def lineshape(self) -> tuple:
-        """What the lineshape, the dip area and the T = 0 window read: (E_res,
-        (Im q Gamma)^2, Gamma^2, w, ((bottom, coupled), ...), Gamma, (1 -
-        |q|^2) Gamma, coupled bottom), Gamma > 0 and Re q = 0 checked."""
+        """(E_res, (Im q Gamma)^2, Gamma^2, w, ((bottom, coupled), ...),
+        Gamma, (1 - |q|^2) Gamma, coupled bottom), read by the lineshape, the
+        dip area and the T = 0 window (``ResonanceSpec`` checks Gamma, q)."""
         res = self.resonance
         b = res.q.imag * res.Gamma
         return (res.energy, b * b, res.Gamma * res.Gamma, self.weight,

@@ -360,7 +360,7 @@ def current_components(bias: BiasPoint, model: TransmissionModel,
 
 def current(bias: BiasPoint, model: TransmissionModel) -> float:
     """Landauer current in amperes."""
-    if bias.temperature:    # T < 0 raises there; a kT = 0 takes the same path
+    if bias.temperature:    # there T < 0 raises and a kT of 0 is sharp
         ballistic, deficit = current_components(bias, model)
         return ballistic - deficit
     I_ball, dip = _sharp_window(model, bias.mu_drain, bias.mu_source)
@@ -415,7 +415,7 @@ def _iv_curves(config: DeviceConfig, V_grid, *models) -> tuple[IVCurve, ...]:
         if (paths := ROW_PATHS.get()) is not None:
             paths["sharp"] += len({*sources, *drains})
         curves = []
-        for m in models:    # tuple.__new__: half the cost of BiasPoint(...)
+        for m in models:    # tuple.__new__ skips the generated __new__ call
             I = [current(tuple.__new__(BiasPoint, (s, d, T)), m) if V else 0.0
                  for V, s, d in zip(V_grid, sources, drains)]
             G = [G0 * total_transmission(mu, m) for mu in sources]

@@ -75,8 +75,8 @@ def oracle_transmission(E, lattice: OracleLattice):
     if tp == 0:
         T = np.ones_like(E)
     else:
-        p = tp / t
-        x = np.sqrt((t - E / 2) / t * 2 * ((t + E / 2) / t * 2)) * (
+        p, h = tp / t, E / 2
+        x = np.sqrt((t - h) / t * ((t + h) / t)) * 2 * (
             (E - lattice.site_energy_eps_d) / t)        # v d / t^2
         with np.errstate(divide="ignore", over="ignore"):
             s = p / x * p
